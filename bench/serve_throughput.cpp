@@ -13,7 +13,7 @@
 // Fleet mode (--fleet): sweeps the modeled device count (M = 1,2,4,8, or
 // just --gpus=N) running closed-loop mixed traffic — a "small" tenant on
 // light graphs, a "huge" tenant on the heavyweights, a "mut" tenant
-// committing mutation batches — through scheduler -> service -> fleet.
+// committing mutation batches — through the service's scheduler -> fleet.
 // Warmup pins both the decision table and the placement table;
 // --check-placements=ds:placement,... gates placements like --check-picks
 // (exit 3 on drift; requires --gpus since placements depend on M). At M=1
@@ -165,8 +165,7 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
     }
     fleet::Fleet fleet(engine, fc);
     fleet::FleetService::Config sc;
-    sc.dispatchers = clients;
-    sc.service.workers = opt.jobs == 0 ? 2 : opt.jobs;
+    sc.workers = clients;
     fleet::FleetService service(engine, fleet, sc);
 
     // --- serial warmup: pins picks and placements ------------------------

@@ -4,10 +4,11 @@
 //
 //   $ ./serve_quickstart
 //
-// Three steps: make an engine -> wrap it in a QueryService (bounded
-// admission queue, worker threads, same-graph batching) -> submit
-// QueryRequests and read the futures. Every reply carries the exact count,
-// the chosen kernel with its modeled cost, and a per-query trace.
+// Three steps: make an engine -> wrap it in a QueryService (one admission
+// queue — a fair scheduler that is a plain FIFO for a single tenant —
+// worker threads, same-graph batching) -> submit QueryRequests and read the
+// futures. Every reply carries the exact count, the chosen kernel with its
+// modeled cost, and a per-query trace.
 #include <cstdio>
 #include <future>
 #include <vector>

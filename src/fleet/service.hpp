@@ -1,92 +1,43 @@
-// fleet::FleetService — the SLO-aware serving front door.
+// fleet::FleetService — the SLO-aware serving front door over a fleet.
 //
-// Composition: client -> Scheduler (EDF + per-tenant WFQ, per-tenant
-// backpressure) -> dispatcher threads -> serve::QueryService (admission,
-// batching, selection) -> fleet::Fleet (cache, placement, device slots) ->
+// Composition: client -> serve::QueryService (EDF + per-tenant WFQ
+// scheduler with per-tenant backpressure -> workers -> same-graph batching
+// -> selection) -> fleet::Fleet (cache, placement, device slots) ->
 // Engine / MultiDeviceRunner.
 //
-// The scheduler stage is what the plain service lacks under saturating
-// mixed traffic: tenants get weighted fair dispatch shares, deadline
-// queries jump bulk work (EDF), a query already past its deadline is shed
-// before it costs a kernel, and one tenant's backlog blocks or sheds only
-// that tenant. The dispatcher count bounds in-flight queries against the
-// inner service, which keeps its own bounded queue nearly empty — ordering
-// decisions happen in the scheduler, not a FIFO.
+// FleetService owns no queue and no thread: it is a QueryService whose
+// execution backend is the fleet. Tenants get weighted fair dispatch
+// shares, deadline queries jump bulk work (EDF), a query already past its
+// deadline is dropped before it costs a kernel, and one tenant's backlog
+// blocks or sheds only that tenant — all in the one scheduler that every
+// QueryService pops.
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <future>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "fleet/fleet.hpp"
-#include "fleet/scheduler.hpp"
 #include "serve/service.hpp"
 
 namespace tcgpu::fleet {
 
-/// Per-tenant terminal-status accounting (scheduler + service outcomes).
-struct TenantStats {
-  std::uint64_t submitted = 0;  ///< admitted by the scheduler
-  std::uint64_t shed = 0;       ///< refused at the tenant's queue bound
-  std::uint64_t ok = 0;         ///< kOk replies
-  std::uint64_t expired = 0;    ///< kDeadlineExpired (scheduler or service)
-  std::uint64_t errors = 0;     ///< every other non-ok terminal status
-};
+using serve::TenantPolicy;
 
-class FleetService {
+class FleetService final : public serve::QueryService {
  public:
-  struct Config {
-    std::size_t dispatchers = 2;  ///< concurrent queries fed to the service
-    /// Inner service config; `backend` is overwritten with the fleet.
-    serve::QueryService::Config service;
-    /// Policy for tenants without an explicit set_tenant_policy() call.
-    TenantPolicy default_policy;
-  };
+  using Config = serve::QueryService::Config;
 
   /// Borrows the engine and the fleet; both must outlive the service.
-  FleetService(framework::Engine& engine, Fleet& fleet, Config cfg);
-  ~FleetService();
+  /// `cfg.backend` is overwritten with the fleet.
+  FleetService(framework::Engine& engine, Fleet& fleet, Config cfg)
+      : serve::QueryService(engine, with_backend(std::move(cfg), fleet)) {}
 
-  FleetService(const FleetService&) = delete;
-  FleetService& operator=(const FleetService&) = delete;
-
-  /// Registers one tenant's weight/bound before (or during) traffic.
-  void set_tenant_policy(const std::string& tenant, TenantPolicy policy);
-
-  /// Submits one query under its request's tenant ("" = "default"). The
-  /// future resolves with a terminal reply; kRejected when the tenant's
-  /// queue sheds, kDeadlineExpired when the deadline passes while queued.
-  std::future<serve::QueryReply> submit(serve::QueryRequest req);
-
-  /// Stops admission, drains the scheduler, joins dispatchers, shuts the
-  /// inner service down. Idempotent; also run by the destructor.
-  void shutdown();
-
-  std::map<std::string, TenantStats> tenant_stats() const;
-  serve::QueryService& service() { return *service_; }
-  Fleet& fleet() { return fleet_; }
-  const Config& config() const { return cfg_; }
+  serve::QueryService& service() { return *this; }
 
  private:
-  struct Job;
-
-  void dispatcher_loop();
-
-  Fleet& fleet_;
-  Config cfg_;
-  std::unique_ptr<serve::QueryService> service_;
-  Scheduler<std::unique_ptr<Job>> scheduler_;
-  std::vector<std::thread> dispatchers_;
-
-  mutable std::mutex mu_;  ///< guards stats_ and stopped_
-  std::map<std::string, TenantStats> stats_;
-  bool stopped_ = false;
+  static Config with_backend(Config cfg, Fleet& fleet) {
+    cfg.backend = &fleet;
+    return cfg;
+  }
 };
 
 }  // namespace tcgpu::fleet

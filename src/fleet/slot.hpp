@@ -3,7 +3,7 @@
 // The simulator has no real device memory, so a slot tracks what a real
 // serving fleet would: which graph images are resident (charged the exact
 // bytes framework::Engine accounted for the upload), how much modeled
-// kernel time the device has absorbed (the dispatcher's least-loaded
+// kernel time the device has absorbed (the fleet's least-loaded
 // tiebreak), and an LRU over resident images so admission under a capacity
 // budget (framework::device_budget_bytes) evicts the coldest image first.
 //

@@ -1,9 +1,8 @@
-// fleet::Scheduler — deadline-aware, tenant-fair dispatch order.
+// serve::Scheduler — the query service's admission queue: deadline-aware,
+// tenant-fair dispatch order with per-tenant backpressure.
 //
-// The serve layer's BoundedQueue is one FIFO: fine for a single tenant, but
-// under saturating mixed traffic one chatty client starves everyone else and
-// deadline-critical queries wait behind bulk scans. The scheduler replaces
-// the FIFO with per-tenant bounded queues and a two-level pop policy:
+// Every tenant has its own bounded FIFO, and pop() chooses among the queue
+// heads with a two-level policy:
 //
 //   1. EDF — among queue heads, any item carrying a deadline dispatches in
 //      earliest-absolute-deadline order before all non-deadline items; a
@@ -18,8 +17,13 @@
 // full), so one tenant's backlog can never push another's work out. Ties
 // break deterministically (tag, then arrival sequence) — dispatch order is
 // a pure function of the admission sequence, independent of thread timing.
+// With a single tenant only one queue has a head, so the scheduler is a
+// plain bounded FIFO. take_matching() is the batching hook: a worker that
+// popped one query drains that tenant's other queued queries on the same
+// graph so the whole batch shares one prepare/upload.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -29,8 +33,9 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
-namespace tcgpu::fleet {
+namespace tcgpu::serve {
 
 enum class AdmitResult {
   kAdmitted,
@@ -44,12 +49,6 @@ struct TenantPolicy {
   double weight = 1.0;
   std::size_t queue_limit = 64;  ///< per-tenant bound (0 = unbounded)
   bool block_when_full = true;   ///< false: shed at the bound
-};
-
-struct TenantCounters {
-  std::uint64_t admitted = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t dispatched = 0;
 };
 
 template <class T>
@@ -72,17 +71,15 @@ class Scheduler {
   /// Admits one item for `tenant`. `deadline_tick` orders EDF dispatch:
   /// 0 = no deadline (WFQ only); smaller = more urgent (callers pass an
   /// absolute time in any monotone unit). Blocks, sheds, or rejects per the
-  /// tenant's policy and the scheduler's open/closed state.
+  /// tenant's policy and the scheduler's open/closed state. The item is
+  /// moved from only when admitted.
   AdmitResult push(const std::string& tenant, std::uint64_t deadline_tick,
                    T&& item) {
     std::unique_lock lk(mu_);
     if (closed_) return AdmitResult::kClosed;
     Tenant& t = tenant_of(tenant);
     if (t.policy.queue_limit != 0 && t.items.size() >= t.policy.queue_limit) {
-      if (!t.policy.block_when_full) {
-        ++t.counters.shed;
-        return AdmitResult::kShed;
-      }
+      if (!t.policy.block_when_full) return AdmitResult::kShed;
       t.not_full.wait(lk, [&] {
         return closed_ || t.items.size() < t.policy.queue_limit;
       });
@@ -97,7 +94,6 @@ class Scheduler {
     it.seq = next_seq_++;
     it.value = std::move(item);
     t.items.push_back(std::move(it));
-    ++t.counters.admitted;
     lk.unlock();
     not_empty_.notify_one();
     return AdmitResult::kAdmitted;
@@ -105,7 +101,7 @@ class Scheduler {
 
   /// Dispatches the next item: EDF over deadline-carrying heads first, then
   /// smallest WFQ finish tag. Blocks while open and empty; nullopt once
-  /// closed and drained (the dispatcher shutdown signal).
+  /// closed and drained (the workers' shutdown signal).
   std::optional<T> pop() {
     std::unique_lock lk(mu_);
     not_empty_.wait(lk, [&] { return closed_ || !empty_locked(); });
@@ -137,10 +133,35 @@ class Scheduler {
     if (best == nullptr) return std::nullopt;  // closed and drained
     Item item = std::move(best->items.front());
     best->items.pop_front();
-    ++best->counters.dispatched;
     vfloor_ = std::max(vfloor_, item.finish_tag);
     best->not_full.notify_one();
     return std::move(item.value);
+  }
+
+  /// Extracts (in FIFO order) up to `max` of `tenant`'s queued items that
+  /// satisfy `pred` — batch formation after a pop(). Other tenants' items
+  /// keep their place and their WFQ turn. Like pop(), advances the virtual
+  /// floor and frees space for blocked pushers. Does not block; returns what
+  /// is queued right now.
+  template <class Pred>
+  std::vector<T> take_matching(const std::string& tenant, Pred&& pred,
+                               std::size_t max) {
+    std::vector<T> taken;
+    std::lock_guard lk(mu_);
+    const auto found = tenants_.find(tenant);
+    if (found == tenants_.end()) return taken;
+    Tenant& t = found->second;
+    for (auto it = t.items.begin(); it != t.items.end() && taken.size() < max;) {
+      if (pred(std::as_const(it->value))) {
+        vfloor_ = std::max(vfloor_, it->finish_tag);
+        taken.push_back(std::move(it->value));
+        it = t.items.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (!taken.empty()) t.not_full.notify_all();
+    return taken;
   }
 
   /// Stops admission; queued items stay poppable, blocked pushers wake.
@@ -153,23 +174,11 @@ class Scheduler {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lk(mu_);
-    return closed_;
-  }
-
   std::size_t size() const {
     std::lock_guard lk(mu_);
     std::size_t n = 0;
     for (const auto& [name, t] : tenants_) n += t.items.size();
     return n;
-  }
-
-  std::map<std::string, TenantCounters> counters() const {
-    std::lock_guard lk(mu_);
-    std::map<std::string, TenantCounters> out;
-    for (const auto& [name, t] : tenants_) out.emplace(name, t.counters);
-    return out;
   }
 
  private:
@@ -185,7 +194,6 @@ class Scheduler {
     std::deque<Item> items;
     double vtime = 0.0;
     std::condition_variable not_full;
-    TenantCounters counters;
   };
 
   Tenant& tenant_of(const std::string& name) {
@@ -213,4 +221,4 @@ class Scheduler {
   bool closed_ = false;
 };
 
-}  // namespace tcgpu::fleet
+}  // namespace tcgpu::serve

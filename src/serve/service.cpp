@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <sstream>
 #include <stdexcept>
@@ -29,6 +30,19 @@ std::uint64_t edges_hash(const graph::Coo& coo) {
 }
 
 QueryTrace::TimePoint now() { return QueryTrace::Clock::now(); }
+
+/// Absolute deadline as a monotone EDF tick (microseconds since the clock
+/// epoch); 0 = no deadline.
+std::uint64_t deadline_tick(QueryTrace::TimePoint enqueue, double deadline_ms) {
+  if (deadline_ms <= 0.0) return 0;
+  const auto abs =
+      enqueue + std::chrono::duration_cast<QueryTrace::Clock::duration>(
+                    std::chrono::duration<double, std::milli>(deadline_ms));
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      abs.time_since_epoch())
+                      .count();
+  return us > 0 ? static_cast<std::uint64_t>(us) : 1;
+}
 
 }  // namespace
 
@@ -78,7 +92,7 @@ QueryService::QueryService(framework::Engine& engine,
     : engine_(engine),
       cfg_(cfg),
       selector_(std::move(selector_cfg)),
-      queue_(cfg.queue_capacity, cfg.block_when_full) {
+      queue_(cfg.default_policy) {
   const std::size_t workers = std::max<std::size_t>(1, cfg_.workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
@@ -116,13 +130,21 @@ void QueryService::shutdown() {
   }
 }
 
+void QueryService::set_tenant_policy(const std::string& tenant,
+                                     TenantPolicy policy) {
+  queue_.set_policy(tenant, policy);
+}
+
 std::future<QueryReply> QueryService::submit(QueryRequest req) {
   auto pending = std::make_unique<Pending>();
   pending->req = std::move(req);
+  if (pending->req.tenant.empty()) pending->req.tenant = "default";
   pending->trace.enqueue = now();
   auto future = pending->promise.get_future();
+  const std::string tenant = pending->req.tenant;
 
   QueryReply early;
+  early.tenant = tenant;
   early.dataset = pending->req.dataset.empty()
                       ? (pending->req.name.empty() ? "inline" : pending->req.name)
                       : pending->req.dataset;
@@ -136,8 +158,6 @@ std::future<QueryReply> QueryService::submit(QueryRequest req) {
   } else if (pending->req.version != 0 && pending->req.dataset.empty()) {
     early.status = QueryStatus::kInvalidRequest;
     early.error = "inline graphs have no version history to pin";
-  } else if (queue_.closed()) {
-    early.status = QueryStatus::kShutdown;
   } else {
     pending->pick = pending->req.dataset.empty()
                         ? "inline:" + std::to_string(edges_hash(pending->req.edges))
@@ -145,22 +165,38 @@ std::future<QueryReply> QueryService::submit(QueryRequest req) {
     pending->key = pending->req.version != 0
                        ? pending->pick + "@v" + std::to_string(pending->req.version)
                        : pending->pick;
-    if (queue_.push(std::move(pending))) {
-      std::lock_guard lk(mu_);
-      ++counters_.submitted;
-      return future;
+    const std::uint64_t tick =
+        deadline_tick(pending->trace.enqueue, pending->req.deadline_ms);
+    // push() consumes the unique_ptr only on admission, so `pending` is
+    // still whole on the other two outcomes.
+    switch (queue_.push(tenant, tick, std::move(pending))) {
+      case AdmitResult::kAdmitted: {
+        std::lock_guard lk(mu_);
+        ++counters_.submitted;
+        ++tenant_stats_[tenant].submitted;
+        return future;
+      }
+      case AdmitResult::kShed:
+        early.status = QueryStatus::kRejected;
+        early.error = "tenant queue full (shed)";
+        break;
+      case AdmitResult::kClosed:
+        early.status = QueryStatus::kShutdown;
+        break;
     }
-    // push() consumes the unique_ptr only on success, so `pending` is still
-    // whole here: either close() raced us or the queue is full in
-    // non-blocking (load-shedding) mode.
-    early.status = queue_.closed() ? QueryStatus::kShutdown : QueryStatus::kRejected;
   }
 
   // Terminal without admission: resolve the original promise immediately.
   {
     std::lock_guard lk(mu_);
     ++counters_.rejected;
-    if (early.status == QueryStatus::kInvalidRequest) ++counters_.errors;
+    TenantStats& ts = tenant_stats_[tenant];
+    if (early.status == QueryStatus::kRejected) {
+      ++ts.shed;
+    } else {
+      ++ts.errors;
+      if (early.status == QueryStatus::kInvalidRequest) ++counters_.errors;
+    }
   }
   pending->trace.reply = now();
   early.trace = pending->trace;
@@ -172,10 +208,11 @@ void QueryService::worker_loop() {
   while (auto item = queue_.pop()) {
     std::vector<std::unique_ptr<Pending>> batch;
     batch.push_back(std::move(*item));
-    const std::string& key = batch.front()->key;
+    const Pending& head = *batch.front();
     if (cfg_.max_batch > 1) {
       auto more = queue_.take_matching(
-          [&key](const std::unique_ptr<Pending>& p) { return p->key == key; },
+          head.req.tenant,
+          [&key = head.key](const std::unique_ptr<Pending>& p) { return p->key == key; },
           cfg_.max_batch - 1);
       for (auto& p : more) batch.push_back(std::move(p));
     }
@@ -184,15 +221,25 @@ void QueryService::worker_loop() {
 }
 
 void QueryService::finish(Pending& p, QueryReply reply) {
+  reply.tenant = p.req.tenant;
   reply.trace = p.trace;
   reply.trace.reply = now();
   {
     std::lock_guard lk(mu_);
     ++counters_.served;
-    if (reply.status == QueryStatus::kDeadlineExpired) ++counters_.expired;
-    if (reply.status == QueryStatus::kInvalidRequest ||
-        reply.status == QueryStatus::kError) {
-      ++counters_.errors;
+    TenantStats& ts = tenant_stats_[p.req.tenant];
+    switch (reply.status) {
+      case QueryStatus::kOk:
+        ++ts.ok;
+        break;
+      case QueryStatus::kDeadlineExpired:
+        ++counters_.expired;
+        ++ts.expired;
+        break;
+      default:  // kInvalidRequest or kError: workers produce no other status
+        ++counters_.errors;
+        ++ts.errors;
+        break;
     }
   }
   p.promise.set_value(std::move(reply));
@@ -234,7 +281,6 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
   QueryReply reply;
   reply.dataset = label;
   reply.algorithm = "stream-delta";
-  reply.tenant = p.req.tenant;
 
   if (p.req.dataset.empty()) {
     reply.status = QueryStatus::kInvalidRequest;
@@ -446,7 +492,6 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     QueryReply reply;
     reply.dataset = label;
     reply.version = graph_version;
-    reply.tenant = p->req.tenant;
 
     if (!resolve_error.empty()) {
       reply.status = QueryStatus::kInvalidRequest;
@@ -563,6 +608,11 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
 ServiceCounters QueryService::counters() const {
   std::lock_guard lk(mu_);
   return counters_;
+}
+
+std::map<std::string, TenantStats> QueryService::tenant_stats() const {
+  std::lock_guard lk(mu_);
+  return tenant_stats_;
 }
 
 std::vector<std::pair<std::string, std::string>> QueryService::decision_table()

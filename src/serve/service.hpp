@@ -1,13 +1,15 @@
 // serve::QueryService — the concurrent triangle-count front door.
 //
-// Queries (a registry dataset name, or an inline edge list) enter a bounded
-// admission queue (backpressure: block or shed), workers batch queued
+// Queries (a registry dataset name, or an inline edge list) enter the
+// Scheduler — per-tenant bounded queues with EDF + weighted-fair dispatch
+// and per-tenant backpressure (block or shed); with one tenant it is a plain
+// bounded FIFO. Workers pop it directly and batch that tenant's queued
 // queries on the same graph into one prepare/upload, the Selector's cost
 // model picks the kernel per query (unless the query forces one), and the
-// Engine executes against its pooled device image. Every reply carries the
-// exact count, the chosen algorithm with its modeled cost, the run's
-// KernelStats, and a per-query trace (enqueue → admit → prepare → select →
-// run → reply).
+// Engine (or the configured ExecutionBackend) executes against its pooled
+// device image. Every reply carries the exact count, the chosen algorithm
+// with its modeled cost, the run's KernelStats, and a per-query trace
+// (enqueue → admit → prepare → select → run → reply).
 //
 // Long-running processes stay bounded: the Engine's prepared-graph cache is
 // LRU-capped (Engine::Config::max_resident / Engine::evict), and device
@@ -47,8 +49,8 @@
 #include "framework/engine.hpp"
 #include "graph/coo.hpp"
 #include "graph/types.hpp"
-#include "serve/admission.hpp"
 #include "serve/backend.hpp"
+#include "serve/scheduler.hpp"
 #include "serve/selector.hpp"
 #include "serve/trace.hpp"
 
@@ -56,7 +58,7 @@ namespace tcgpu::serve {
 
 enum class QueryStatus {
   kOk,               ///< count computed and validated
-  kRejected,         ///< admission queue full (non-blocking mode)
+  kRejected,         ///< tenant queue full in shedding mode
   kShutdown,         ///< service no longer accepting queries
   kDeadlineExpired,  ///< deadline passed before the kernel could start
   kInvalidRequest,   ///< unknown dataset/algorithm name, empty request
@@ -85,8 +87,9 @@ struct QueryRequest {
   /// mutated and a version still inside the snapshot history window
   /// (kInvalidRequest otherwise); mutations and inline graphs cannot pin.
   std::uint64_t version = 0;
-  /// Fair-queueing identity for the fleet scheduler; the plain service
-  /// carries it through to the reply untouched. Empty = default tenant.
+  /// Fair-queueing identity: the scheduler bounds, weighs and orders each
+  /// tenant's queue separately (QueryService::set_tenant_policy) and the
+  /// reply echoes it. Empty = "default".
   std::string tenant;
 
   /// Mutation payload: applied to the named dataset as one batch (inserts
@@ -126,11 +129,11 @@ struct QueryReply {
   std::uint32_t devices = 1;     ///< shard count (1 = single device)
   double comm_ms = 0.0;          ///< modeled interconnect time (sharded only)
   std::string placement;         ///< placer's decision label (fleet only)
-  std::string tenant;            ///< echoed from the request
+  std::string tenant;            ///< the request's tenant ("default" if empty)
 };
 
 struct ServiceCounters {
-  std::uint64_t submitted = 0;  ///< accepted into the queue
+  std::uint64_t submitted = 0;  ///< admitted by the scheduler
   std::uint64_t rejected = 0;   ///< refused at admission (full/shutdown)
   std::uint64_t served = 0;     ///< replies delivered (any terminal status)
   std::uint64_t expired = 0;    ///< kDeadlineExpired replies
@@ -141,14 +144,24 @@ struct ServiceCounters {
   std::uint64_t stream_queries = 0;  ///< counts answered from a snapshot
 };
 
+/// Per-tenant accounting. Every reply counts exactly once, as one of `ok`,
+/// `shed`, `expired` or `errors`; `submitted` counts admissions.
+struct TenantStats {
+  std::uint64_t submitted = 0;  ///< admitted into the tenant's queue
+  std::uint64_t shed = 0;       ///< refused at the tenant's queue bound
+  std::uint64_t ok = 0;         ///< kOk replies
+  std::uint64_t expired = 0;    ///< kDeadlineExpired replies
+  std::uint64_t errors = 0;     ///< every other terminal status
+};
+
 class QueryService {
  public:
   struct Config {
-    std::size_t workers = 2;         ///< dispatcher threads
-    std::size_t queue_capacity = 64; ///< admission bound
-    /// true: submit() blocks when the queue is full (closed-loop clients);
-    /// false: submit() resolves immediately with kRejected (load shedding).
-    bool block_when_full = true;
+    std::size_t workers = 2;  ///< threads popping the scheduler
+    /// Policy for tenants without a set_tenant_policy() call. Its bound
+    /// either blocks submit() (closed-loop clients) or resolves it at once
+    /// with kRejected (load shedding).
+    TenantPolicy default_policy;
     std::size_t max_batch = 32;  ///< same-graph queries fused per batch
     bool refine = true;          ///< selector online refinement
     /// Latch the selector's decision per (graph, version, hint) on first
@@ -176,9 +189,13 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Submits one query. The returned future resolves with a terminal reply
-  /// (kOk, or a non-ok status — never abandoned). Applies the configured
-  /// backpressure mode when the queue is full.
+  /// Registers one tenant's weight/bound before (or during) traffic.
+  void set_tenant_policy(const std::string& tenant, TenantPolicy policy);
+
+  /// Submits one query under its request's tenant. The returned future
+  /// resolves with a terminal reply (kOk, or a non-ok status — never
+  /// abandoned). Applies the tenant's backpressure mode when its queue is
+  /// full.
   std::future<QueryReply> submit(QueryRequest req);
 
   /// Stops admission, drains queued queries, joins the workers. Idempotent;
@@ -186,6 +203,7 @@ class QueryService {
   void shutdown();
 
   ServiceCounters counters() const;
+  std::map<std::string, TenantStats> tenant_stats() const;
   const Selector& selector() const { return selector_; }
   framework::Engine& engine() { return engine_; }
   const Config& config() const { return cfg_; }
@@ -217,14 +235,16 @@ class QueryService {
   Config cfg_;
   Selector selector_;
 
-  BoundedQueue<std::unique_ptr<Pending>> queue_;
+  Scheduler<std::unique_ptr<Pending>> queue_;
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mu_;  ///< guards picks_, streams_ shape, counters_, stopped_
+  mutable std::mutex mu_;  ///< guards picks_, streams_ shape, counters_,
+                           ///< tenant_stats_, stopped_
   using PickKey = std::tuple<std::string, std::uint64_t, Hint>;
   std::map<PickKey, std::string> picks_;
   std::map<std::string, std::shared_ptr<StreamState>> streams_;
   ServiceCounters counters_;
+  std::map<std::string, TenantStats> tenant_stats_;
   bool stopped_ = false;
 };
 

@@ -3,8 +3,10 @@
 // clock so stage durations are meaningful even when the host clock steps.
 //
 // Traces ride inside QueryReply, so every client sees exactly where its
-// latency went: queueing (admission backpressure), graph preparation (cache
-// miss vs hit), selection (cost-model scoring) and kernel execution.
+// latency went: queueing (the whole wait in the service's one scheduler —
+// fair-queue order, deadline order and backpressure alike), graph
+// preparation (cache miss vs hit), selection (cost-model scoring) and
+// kernel execution.
 #pragma once
 
 #include <chrono>
@@ -16,8 +18,8 @@ struct QueryTrace {
   using Clock = std::chrono::steady_clock;
   using TimePoint = Clock::time_point;
 
-  TimePoint enqueue;        ///< submit() accepted the query into the queue
-  TimePoint admit;          ///< a worker dequeued it (batch formation)
+  TimePoint enqueue;        ///< submit() was called (before admission)
+  TimePoint admit;          ///< a worker popped it from the scheduler
   TimePoint prepare_start;  ///< graph pipeline lookup/run began
   TimePoint prepare_done;   ///< PreparedGraph handle available
   TimePoint select_done;    ///< algorithm chosen (cost model or override)

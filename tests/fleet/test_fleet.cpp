@@ -405,14 +405,14 @@ TEST(FleetServiceTest, ShedsPerTenantAtTheQueueBound) {
   Fleet::Config fc;
   Fleet fleet(engine, fc);
   FleetService::Config cfg;
-  cfg.dispatchers = 1;
+  cfg.workers = 1;
   FleetService service(engine, fleet, cfg);
   TenantPolicy tight;
   tight.queue_limit = 1;
   tight.block_when_full = false;
   service.set_tenant_policy("bounded", tight);
 
-  // Saturate: submissions outpace the single dispatcher; the bounded
+  // Saturate: submissions outpace the single worker; the bounded
   // tenant's overflow sheds with a terminal kRejected reply.
   std::vector<std::future<serve::QueryReply>> futures;
   for (int i = 0; i < 12; ++i) {
@@ -444,11 +444,11 @@ TEST(FleetServiceTest, ExpiredDeadlinesShedBeforeTheKernel) {
   Fleet::Config fc;
   Fleet fleet(engine, fc);
   FleetService::Config cfg;
-  cfg.dispatchers = 1;
+  cfg.workers = 1;
   FleetService service(engine, fleet, cfg);
 
   // Sub-microsecond deadlines expire in the scheduler queue with certainty;
-  // the first query may still win the race to the dispatcher, so assert on
+  // the first query may still win the race to the worker, so assert on
   // the backlog, not every reply.
   std::vector<std::future<serve::QueryReply>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -472,7 +472,7 @@ TEST(FleetServiceTest, MixedTenantsAllComplete) {
   fc.devices = 2;
   Fleet fleet(engine, fc);
   FleetService::Config cfg;
-  cfg.dispatchers = 2;
+  cfg.workers = 2;
   FleetService service(engine, fleet, cfg);
   service.set_tenant_policy("a", TenantPolicy{2.0, 0, true});
   service.set_tenant_policy("b", TenantPolicy{1.0, 0, true});
@@ -491,6 +491,22 @@ TEST(FleetServiceTest, MixedTenantsAllComplete) {
   const auto stats = service.tenant_stats();
   EXPECT_EQ(stats.at("a").ok, 5u);
   EXPECT_EQ(stats.at("b").ok, 5u);
+}
+
+TEST(FleetServiceTest, ShutdownRefusalsCountAsErrorsNotShed) {
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  Fleet fleet(engine, fc);
+  FleetService service(engine, fleet, FleetService::Config{});
+  service.shutdown();
+
+  auto req = dataset_query("As-Caida");
+  req.tenant = "t";
+  EXPECT_EQ(service.submit(std::move(req)).get().status,
+            serve::QueryStatus::kShutdown);
+  const auto stats = service.tenant_stats().at("t");
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.errors, 1u);
 }
 
 }  // namespace

@@ -125,8 +125,8 @@ TEST(ServiceBackpressure, NonBlockingModeShedsLoad) {
   framework::Engine engine(small_engine());
   QueryService::Config cfg;
   cfg.workers = 1;
-  cfg.queue_capacity = 1;
-  cfg.block_when_full = false;
+  cfg.default_policy.queue_limit = 1;
+  cfg.default_policy.block_when_full = false;
   QueryService service(engine, cfg);
   std::vector<std::future<QueryReply>> futures;
   for (int i = 0; i < 50; ++i) {
@@ -142,6 +142,55 @@ TEST(ServiceBackpressure, NonBlockingModeShedsLoad) {
   EXPECT_GT(ok, 0u);        // the queue made progress
   EXPECT_GT(rejected, 0u);  // and a 1-deep queue shed load under a burst
   EXPECT_EQ(service.counters().rejected, rejected);
+}
+
+TEST(ServiceBackpressure, TenantBoundShedsOnlyThatTenant) {
+  framework::Engine engine(small_engine());
+  QueryService::Config cfg;
+  cfg.workers = 1;
+  QueryService service(engine, cfg);
+  TenantPolicy tight;
+  tight.queue_limit = 1;
+  tight.block_when_full = false;
+  service.set_tenant_policy("tight", tight);
+
+  // Park the single worker on a large inline graph so both tenants' bursts
+  // queue behind it.
+  QueryRequest slow;
+  slow.edges = gen::generate_er(2'000, 20'000, 7);
+  slow.tenant = "tight";
+  auto first = service.submit(std::move(slow));
+  std::vector<std::future<QueryReply>> tight_replies, other_replies;
+  for (int i = 0; i < 8; ++i) {
+    auto t = dataset_query("As-Caida");
+    t.tenant = "tight";
+    tight_replies.push_back(service.submit(std::move(t)));
+    auto o = dataset_query("As-Caida");
+    o.tenant = "other";
+    other_replies.push_back(service.submit(std::move(o)));
+  }
+  EXPECT_EQ(first.get().status, QueryStatus::kOk);
+
+  std::uint64_t shed = 0;
+  for (auto& f : tight_replies) {
+    const auto reply = f.get();
+    EXPECT_EQ(reply.tenant, "tight");
+    if (reply.status == QueryStatus::kRejected) {
+      EXPECT_EQ(reply.error, "tenant queue full (shed)");
+      ++shed;
+    } else {
+      EXPECT_EQ(reply.status, QueryStatus::kOk);
+    }
+  }
+  EXPECT_GT(shed, 0u);
+  // The default bound (64) admits the other tenant's whole burst.
+  for (auto& f : other_replies) EXPECT_EQ(f.get().status, QueryStatus::kOk);
+
+  const auto stats = service.tenant_stats();
+  EXPECT_EQ(stats.at("tight").shed, shed);
+  EXPECT_EQ(stats.at("tight").ok + shed, 9u);
+  EXPECT_EQ(stats.at("other").ok, 8u);
+  EXPECT_EQ(stats.at("other").shed, 0u);
 }
 
 TEST(ServiceBatching, SameGraphQueriesShareOnePrepare) {
