@@ -128,8 +128,7 @@ int main(int argc, char** argv) {
               << " tri=" << graph->reference_triangles << '\n';
 
     for (const auto& cs : shapes) {
-      dist::MultiDeviceRunner runner(
-          engine, dist::MultiRunConfig::for_cluster(cs, strategy));
+      dist::MultiDeviceRunner runner(engine, {cs, strategy});
       const std::string topology =
           cs.hosts > 1 ? cs.host.intra.name + "+" + cs.inter.name
                        : cs.host.intra.name;

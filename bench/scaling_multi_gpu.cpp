@@ -2,17 +2,19 @@
 //
 // Sweeps device count x partition strategy x dataset for all nine kernels:
 // each cell shards the prepared DAG (src/dist/), runs the unmodified kernel
-// on every shard, and reports the modeled parallel time (slowest device +
-// ghost scatter + count all-reduce), the speedup over the cached
-// single-device baseline, the load imbalance (max/mean device kernel time)
-// and the partition's replication cost.
+// on every shard, and reports the modeled parallel time (the buffered ghost
+// scatter overlapped with each shard's kernel, then the count all-reduce),
+// the speedup over the cached single-device baseline, the load imbalance
+// (max/mean device kernel time) and the partition's replication cost.
 //
-// Defaults sweep N in {1, 2, 4, 8} on NVLink and all partition strategies;
-// --gpus=N, --partition=range|hash|2d|host and --interconnect=NAME pin one
-// of each. A cell whose aggregated count mismatches the CPU reference is
-// flagged with '!' and fails the run. Machine-readable output shares its
-// schema with the multi-node sweep (scaling_schema.hpp; this bench's rows
-// are the single-host degenerate case — hosts=1, zero inter-host bytes).
+// Defaults sweep N in {1, 2, 4, 8} devices of one host on NVLink and all
+// partition strategies; --gpus=N, --partition=range|hash|2d|host and
+// --interconnect=NAME pin one of each. --hosts is rejected (exit 2):
+// multi-host shapes are scaling_cluster's sweep. A cell whose aggregated
+// count mismatches the CPU reference is flagged with '!' and fails the run.
+// Machine-readable output shares its schema with the multi-node sweep
+// (scaling_schema.hpp; this bench's rows carry hosts=1 and zero inter-host
+// bytes).
 #include <iostream>
 
 #include "dist/runner.hpp"
@@ -27,6 +29,11 @@ int main(int argc, char** argv) {
     opt = framework::BenchOptions::parse(argc, argv);
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
+    return 2;
+  }
+  if (opt.hosts != 0) {
+    std::cerr << "--hosts is not supported by scaling_multi_gpu (one host); "
+                 "use scaling_cluster for multi-host shapes\n";
     return 2;
   }
 
@@ -60,7 +67,8 @@ int main(int argc, char** argv) {
 
     for (const auto strategy : strategies) {
       for (const std::uint32_t n : device_counts) {
-        dist::MultiDeviceRunner runner(engine, {n, strategy, link});
+        dist::MultiDeviceRunner runner(
+            engine, {simt::ClusterSpec::single_host(n, link), strategy});
         for (const auto& entry : algos) {
           const auto algo = entry.make();
           const dist::MultiRunResult r = runner.run(*algo, graph);

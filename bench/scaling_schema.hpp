@@ -1,9 +1,9 @@
 // The one machine-readable schema shared by the scaling benches
 // (scaling_multi_gpu, scaling_cluster): both emit the same columns through
 // framework::emit, so plotting and CI tooling parse one shape whether the
-// sweep stayed on a single host or crossed a modeled network. Single-host
-// rows carry hosts=1, zero inter_bytes, and four equal combo times (the
-// flat model has nothing to aggregate or overlap).
+// sweep stayed on a single host or crossed a modeled network. Every row
+// prices the same run under all four (aggregation, overlap) combinations;
+// single-host rows carry hosts=1 and zero inter_bytes.
 #pragma once
 
 #include <string>
@@ -25,8 +25,7 @@ inline std::vector<std::string> scaling_columns() {
 
 /// One row per MultiRunResult. `interconnect` labels the topology the run
 /// was priced on ("nvlink", "nvlink+ib-edr", ...). pipeline_speedup is the
-/// tentpole ratio: flat synchronous scatter over buffered + overlapped
-/// (1.00 on the single-host path where the four combos coincide).
+/// flat synchronous scatter over buffered + overlapped.
 inline std::vector<std::string> scaling_row(const dist::MultiRunResult& r,
                                             const std::string& interconnect) {
   using framework::ResultTable;

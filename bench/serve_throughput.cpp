@@ -97,6 +97,11 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
               << " over " << opt.hosts << '\n';
     return 2;
   }
+  if (!opt.interconnect.empty() && opt.hosts <= 1) {
+    std::cerr << "--interconnect sets the inter-host link in fleet mode and "
+                 "requires --hosts > 1\n";
+    return 2;
+  }
 
   // Mixed traffic shape. Defaults pick light graphs for the small tenant,
   // heavyweights for the huge one, and a mutating dataset that is NOT in
@@ -154,14 +159,13 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
     framework::Engine engine(opt);
     fleet::Fleet::Config fc;
     fc.devices = devices;
-    if (opt.hosts > 1) {
-      // Two-level fleet: NVLink within a host, --interconnect (default
-      // ib-edr) between hosts. Placements that spill past one host's
-      // devices now pay the network and print with an ":<h>h" suffix.
-      fc.hosts = opt.hosts;
-      if (!opt.interconnect.empty()) {
-        fc.inter = simt::interconnect_spec_from_string(opt.interconnect);
-      }
+    // --hosts > 1 makes a two-level fleet: NVLink within a host,
+    // --interconnect (default ib-edr) between hosts. Placements that spill
+    // past one host's devices pay the network and print with an ":<h>h"
+    // suffix.
+    fc.hosts = std::max(1u, opt.hosts);
+    if (!opt.interconnect.empty()) {
+      fc.inter = simt::interconnect_spec_from_string(opt.interconnect);
     }
     fleet::Fleet fleet(engine, fc);
     fleet::FleetService::Config sc;

@@ -70,11 +70,6 @@ std::uint64_t Shard::recv_bytes() const {
                          std::uint64_t{0});
 }
 
-std::uint64_t Shard::recv_messages() const {
-  return std::accumulate(recv_messages_from.begin(), recv_messages_from.end(),
-                         std::uint64_t{0});
-}
-
 Partitioner::Partitioner(PartitionStrategy strategy, std::uint32_t num_devices,
                          std::uint64_t seed, std::uint32_t hosts)
     : strategy_(strategy), num_devices_(num_devices), seed_(seed), hosts_(hosts) {
@@ -109,7 +104,6 @@ Partitioning Partitioner::partition(const graph::Csr& dag) const {
   for (std::uint32_t d = 0; d < n; ++d) {
     out.shards[d].device = d;
     out.shards[d].recv_bytes_from.assign(n, 0);
-    out.shards[d].recv_messages_from.assign(n, 0);
     out.shards[d].recv_rows_from.assign(n, 0);
   }
 
@@ -228,11 +222,6 @@ Partitioning Partitioner::partition(const graph::Csr& dag) const {
       }
     }
     s.csr = graph::Csr(std::move(row_ptr), std::move(col));
-
-    // One bulk message per contributing owner (rows are batched per peer).
-    for (std::uint32_t o = 0; o < n; ++o) {
-      s.recv_messages_from[o] = s.recv_bytes_from[o] > 0 ? 1 : 0;
-    }
 
     out.report.owned_edges[d] = s.edge_u.size();
     out.report.shard_entries[d] = s.csr.num_edges();

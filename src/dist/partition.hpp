@@ -68,16 +68,14 @@ struct Shard {
   std::uint64_t ghost_entries = 0;
 
   /// Modeled receive traffic to materialize the ghost rows, grouped by the
-  /// owning device (one bulk message per contributing owner). Size N;
-  /// entry [device] is always zero. recv_rows_from counts the ghost rows
-  /// behind each owner's bytes — the message count of an *unbuffered*
-  /// scatter, which is what the cluster model's flat baseline pays.
+  /// owning device. Size N; entry [device] is always zero. recv_rows_from
+  /// counts the ghost rows behind each owner's bytes. How many messages
+  /// carry them is the interconnect's call (simt::ClusterInterconnect:
+  /// buffered flushes, or one per row for the unbuffered baseline).
   std::vector<std::uint64_t> recv_bytes_from;
-  std::vector<std::uint64_t> recv_messages_from;
   std::vector<std::uint64_t> recv_rows_from;
 
   std::uint64_t recv_bytes() const;
-  std::uint64_t recv_messages() const;
 };
 
 /// Replication / balance summary across all shards of one partitioning.

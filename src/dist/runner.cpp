@@ -20,32 +20,11 @@ struct MultiDeviceRunner::ShardSet {
   std::vector<simt::Device::Mark> marks;
 };
 
-MultiRunConfig MultiRunConfig::for_cluster(const simt::ClusterSpec& spec,
-                                           PartitionStrategy strategy) {
-  if (spec.hosts == 0 || spec.host.devices == 0) {
-    throw std::invalid_argument(
-        "MultiRunConfig::for_cluster: cluster must have >= 1 host with >= 1 "
-        "device");
-  }
-  MultiRunConfig cfg;
-  cfg.num_devices = spec.num_devices();
-  cfg.strategy = strategy;
-  cfg.interconnect = spec.host.intra;
-  cfg.hosts = spec.hosts;
-  cfg.inter = spec.inter;
-  return cfg;
-}
-
-MultiDeviceRunner::MultiDeviceRunner(framework::Engine& engine, MultiRunConfig cfg)
-    : engine_(engine), cfg_(cfg) {
-  if (cfg_.num_devices == 0) {
-    throw std::invalid_argument("MultiDeviceRunner: num_devices must be >= 1");
-  }
-  if (cfg_.hosts == 0 || cfg_.num_devices % cfg_.hosts != 0) {
-    throw std::invalid_argument(
-        "MultiDeviceRunner: num_devices must be a positive multiple of hosts");
-  }
-}
+MultiDeviceRunner::MultiDeviceRunner(framework::Engine& engine,
+                                     MultiRunConfig cfg)
+    : engine_(engine),
+      cfg_(std::move(cfg)),
+      net_(cfg_.cluster, cfg_.cluster.num_devices()) {}
 
 std::shared_ptr<MultiDeviceRunner::ShardSet> MultiDeviceRunner::acquire_shards(
     const framework::Engine::GraphHandle& graph) {
@@ -59,8 +38,8 @@ std::shared_ptr<MultiDeviceRunner::ShardSet> MultiDeviceRunner::acquire_shards(
   std::lock_guard lk(set->m);
   if (!set->ready) {
     set->keepalive = graph;
-    const Partitioner p(cfg_.strategy, cfg_.num_devices,
-                        engine_.config().seed, cfg_.hosts);
+    const Partitioner p(cfg_.strategy, net_.num_devices(),
+                        engine_.config().seed, cfg_.cluster.hosts);
     set->parts = p.partition(graph->dag);
     for (const Shard& s : set->parts.shards) {
       auto dev = std::make_unique<simt::Device>();
@@ -92,18 +71,18 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
                                       const framework::Engine::GraphHandle& graph) {
   const auto set = acquire_shards(graph);
   const simt::GpuSpec& spec = engine_.config().spec;
-  const std::uint32_t n = cfg_.num_devices;
+  const std::uint32_t n = net_.num_devices();
 
   MultiRunResult out;
   out.algorithm = algo.name();
   out.dataset = graph->name;
   out.num_devices = n;
-  out.hosts = cfg_.hosts;
+  out.hosts = cfg_.cluster.hosts;
   out.strategy = cfg_.strategy;
   out.partition = set->parts.report;
 
   // ---- per-shard kernels (devices run in parallel; wall time is the max) ---
-  std::vector<std::uint64_t> ghost_bytes(n, 0), ghost_messages(n, 0);
+  std::vector<std::vector<std::uint64_t>> bytes(n), rows(n);
   for (std::uint32_t d = 0; d < n; ++d) {
     const Shard& shard = set->parts.shards[d];
     simt::Device scratch(set->marks[d].next_base);
@@ -120,74 +99,42 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
     out.triangles += dr.triangles;
     out.combined += dr.stats;
     out.device_ms = std::max(out.device_ms, dr.stats.time_ms);
-    ghost_bytes[d] = shard.recv_bytes();
-    ghost_messages[d] = shard.recv_messages();
+    bytes[d] = shard.recv_bytes_from;
+    rows[d] = shard.recv_rows_from;
     out.devices.push_back(std::move(dr));
   }
 
   // ---- modeled communication ----------------------------------------------
-  if (cfg_.hosts <= 1) {
-    // Single host: the flat pre-cluster model, kept on its original code
-    // path so every number stays bit-identical to the legacy runner.
-    const simt::Interconnect net(cfg_.interconnect, n);
-    out.ghost_exchange = net.scatter(ghost_bytes, ghost_messages);
-    out.count_reduce = net.all_reduce(sizeof(std::uint64_t));
-    out.comm_ms = out.ghost_exchange.time_ms + out.count_reduce.time_ms;
-    out.total_ms = out.device_ms + out.comm_ms;
-    out.flat_sync_ms = out.total_ms;
-    out.flat_overlap_ms = out.total_ms;
-    out.agg_sync_ms = out.total_ms;
-    out.agg_overlap_ms = out.total_ms;
-  } else {
-    // Two-level cluster: price the partitioner's per-owner traffic matrix on
-    // the link each pair actually crosses, under both message disciplines.
-    std::vector<std::vector<std::uint64_t>> bytes(n), rows(n);
-    for (std::uint32_t d = 0; d < n; ++d) {
-      bytes[d] = set->parts.shards[d].recv_bytes_from;
-      rows[d] = set->parts.shards[d].recv_rows_from;
-    }
-    simt::ClusterSpec cs;
-    cs.hosts = cfg_.hosts;
-    cs.host.devices = n / cfg_.hosts;
-    cs.host.intra = cfg_.interconnect;
-    cs.inter = cfg_.inter;
-    const simt::ClusterInterconnect net(cs, n);
-    const simt::ScatterModel flat =
-        net.scatter(bytes, rows, /*aggregate=*/false, cfg_.flush_buffer_bytes);
-    const simt::ScatterModel agg =
-        net.scatter(bytes, rows, /*aggregate=*/true, cfg_.flush_buffer_bytes);
-    out.count_reduce = net.all_reduce(sizeof(std::uint64_t));
-
-    // Overlapped wall time: every shard races its kernel against its own
-    // incoming scatter (owned-anchor work needs no ghosts, ghost-dependent
-    // intersections schedule last), then the counts reduce.
-    const auto overlapped_ms = [&](const simt::ScatterModel& m) {
-      double shards_done = 0.0;
-      for (std::uint32_t d = 0; d < n; ++d) {
-        shards_done = std::max(
-            shards_done, std::max(m.per_device_ms[d], out.devices[d].stats.time_ms));
-      }
-      return shards_done + out.count_reduce.time_ms;
-    };
-    out.flat_sync_ms =
-        flat.total.time_ms + out.device_ms + out.count_reduce.time_ms;
-    out.flat_overlap_ms = overlapped_ms(flat);
-    out.agg_sync_ms =
-        agg.total.time_ms + out.device_ms + out.count_reduce.time_ms;
-    out.agg_overlap_ms = overlapped_ms(agg);
-
-    const simt::ScatterModel& chosen = cfg_.aggregate ? agg : flat;
-    out.ghost_exchange = chosen.total;
-    out.intra_exchange = chosen.intra;
-    out.inter_exchange = chosen.inter;
-    for (std::uint32_t d = 0; d < n; ++d) {
-      out.devices[d].recv_ms = chosen.per_device_ms[d];
-    }
-    out.comm_ms = out.ghost_exchange.time_ms + out.count_reduce.time_ms;
-    out.total_ms = cfg_.aggregate
-                       ? (cfg_.overlap ? out.agg_overlap_ms : out.agg_sync_ms)
-                       : (cfg_.overlap ? out.flat_overlap_ms : out.flat_sync_ms);
+  // The partitioner's per-owner traffic matrix, priced on the link each pair
+  // actually crosses under both message disciplines.
+  const simt::ScatterModel flat = net_.scatter(bytes, rows, /*aggregate=*/false);
+  const simt::ScatterModel agg = net_.scatter(bytes, rows, /*aggregate=*/true);
+  out.count_reduce = net_.all_reduce(sizeof(std::uint64_t));
+  out.ghost_exchange = agg.total;
+  out.intra_exchange = agg.intra;
+  out.inter_exchange = agg.inter;
+  for (std::uint32_t d = 0; d < n; ++d) {
+    out.devices[d].recv_ms = agg.per_device_ms[d];
   }
+  out.comm_ms = out.ghost_exchange.time_ms + out.count_reduce.time_ms;
+
+  // Overlapped wall time: every shard races its kernel against its own
+  // incoming scatter (owned-anchor work needs no ghosts, ghost-dependent
+  // intersections schedule last), then the counts reduce.
+  const auto overlapped_ms = [&](const simt::ScatterModel& m) {
+    double shards_done = 0.0;
+    for (std::uint32_t d = 0; d < n; ++d) {
+      shards_done = std::max(
+          shards_done, std::max(m.per_device_ms[d], out.devices[d].stats.time_ms));
+    }
+    return shards_done + out.count_reduce.time_ms;
+  };
+  out.flat_sync_ms =
+      out.device_ms + (flat.total.time_ms + out.count_reduce.time_ms);
+  out.flat_overlap_ms = overlapped_ms(flat);
+  out.agg_sync_ms = out.device_ms + out.comm_ms;
+  out.agg_overlap_ms = overlapped_ms(agg);
+  out.total_ms = out.agg_overlap_ms;
 
   // ---- imbalance + speedup -------------------------------------------------
   double sum_ms = 0.0;

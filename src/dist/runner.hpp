@@ -6,16 +6,14 @@
 // discipline framework::Engine uses for single-device runs), launches the
 // unmodified kernel on every shard, and models what the real systems pay
 // on top of compute: a ghost-row scatter before the kernels and an
-// all-reduce of the per-device counts after them. With hosts == 1 both are
-// costed by the flat simt::Interconnect, exactly as before the cluster
-// model existed; with hosts > 1 they ride simt::ClusterInterconnect — the
-// two-level NVLink-within / network-between topology — and the runner
-// additionally models buffered message aggregation (Galois-style bounded
-// flush buffers vs one message per ghost row) and comm/compute overlap
-// (each shard races its kernel against its incoming scatter). All four
-// (aggregation, overlap) combinations are priced from the same kernel
-// executions, so one run reports the flat synchronous baseline next to the
-// pipelined path.
+// all-reduce of the per-device counts after them, both priced by
+// simt::ClusterInterconnect on the configured simt::ClusterSpec (one host
+// is its hosts == 1 shape). The scatter is priced under both message
+// disciplines (buffered flushes vs one message per ghost row) and with and
+// without comm/compute overlap (each shard races its kernel against its
+// incoming scatter). All four combinations come from the same kernel
+// executions; total_ms is the buffered + overlapped pipeline, and the flat
+// synchronous baseline is reported next to it.
 //
 // Counts aggregate by plain summation — the partitioner assigns each
 // anchor (edge or vertex) to exactly one shard, so per-device counts are
@@ -38,40 +36,16 @@
 namespace tcgpu::dist {
 
 struct MultiRunConfig {
-  std::uint32_t num_devices = 1;
+  /// The modeled topology: cluster.num_devices() shards, device d on host
+  /// d / cluster.host.devices. ClusterSpec::single_host(n, link) is the
+  /// one-host shape.
+  simt::ClusterSpec cluster;
   PartitionStrategy strategy = PartitionStrategy::kRange;
-  simt::InterconnectSpec interconnect = simt::InterconnectSpec::nvlink();
   /// Run the whole-graph single-device baseline per (graph, algorithm) for
   /// single_device_ms / speedup. The scaling benches want it; the fleet's
   /// serving path turns it off — it already has the selector's model and
   /// must not pay an extra full kernel per placed query.
   bool measure_baseline = true;
-
-  // --- two-level cluster (hosts > 1 switches the comm model) ---------------
-  /// Hosts the devices spread over, in contiguous blocks of
-  /// num_devices / hosts. 1 = the single-host model above, bit-identical to
-  /// the pre-cluster runner; > 1 prices ghost traffic per link level
-  /// (`interconnect` within a host, `inter` between hosts) from the
-  /// partitioner's per-owner traffic matrix.
-  std::uint32_t hosts = 1;
-  simt::InterconnectSpec inter = simt::InterconnectSpec::ib_edr();
-  /// Buffered ghost scatter: coalesce per-destination updates into
-  /// flush_buffer_bytes buffers (ceil(bytes / buffer) messages per peer
-  /// pair) instead of one message per ghost row. Cluster path only.
-  bool aggregate = true;
-  std::uint64_t flush_buffer_bytes = simt::kFlushBufferBytes;
-  /// Comm/compute overlap: each shard's kernel runs concurrently with its
-  /// incoming scatter (owned-anchor work needs no ghosts), so the shard
-  /// completes at max(recv, kernel) instead of recv + kernel. Cluster path
-  /// only.
-  bool overlap = true;
-
-  /// The HostSpec x DeviceSpec entry point: a cluster-shaped config for
-  /// `spec` (which must describe >= 1 device per host). Strategy defaults
-  /// to host-aware — the partitioner that minimizes the inter-host cut.
-  static MultiRunConfig for_cluster(
-      const simt::ClusterSpec& spec,
-      PartitionStrategy strategy = PartitionStrategy::kHostAware);
 };
 
 /// One shard's share of a run.
@@ -81,10 +55,9 @@ struct DeviceRun {
   std::uint64_t owned_edges = 0;     ///< anchor edges assigned to the shard
   std::uint64_t anchor_vertices = 0; ///< anchor vertices assigned
   simt::KernelStats stats;           ///< this shard's kernel launches
-  /// Cluster path: this shard's own scatter-receive time under the
-  /// configured aggregation — what its kernel overlaps against. Its
-  /// serialized completion is recv_ms + stats.time_ms, its overlapped one
-  /// max(recv_ms, stats.time_ms). Zero on the single-host path.
+  /// This shard's own buffered scatter-receive time — what its kernel
+  /// overlaps against. Its serialized completion is recv_ms +
+  /// stats.time_ms, its overlapped one max(recv_ms, stats.time_ms).
   double recv_ms = 0.0;
 };
 
@@ -102,22 +75,20 @@ struct MultiRunResult {
   simt::KernelStats combined;  ///< summed over shards (total simulated work)
 
   double device_ms = 0.0;  ///< max over shards — devices run in parallel
-  simt::TransferStats ghost_exchange;  ///< pre-kernel ghost-row scatter
+  simt::TransferStats ghost_exchange;  ///< buffered pre-kernel ghost scatter
   simt::TransferStats count_reduce;    ///< post-kernel count all-reduce
   double comm_ms = 0.0;   ///< ghost_exchange + count_reduce time
-  double total_ms = 0.0;  ///< modeled wall time under the configured flags
+  double total_ms = 0.0;  ///< modeled wall time: agg_overlap_ms
 
-  /// Cluster path: the same run priced under every (aggregation, overlap)
-  /// combination, so a sweep reports the flat synchronous baseline and the
-  /// optimized path from one set of kernel executions. total_ms equals the
-  /// combination the config selected. On the single-host path all four
-  /// equal device_ms + comm_ms.
+  /// The same run priced under every (aggregation, overlap) combination, so
+  /// a sweep reports the flat synchronous baseline and the pipelined path
+  /// from one set of kernel executions. agg_sync_ms == device_ms + comm_ms.
   double flat_sync_ms = 0.0;     ///< per-row messages, scatter then compute
   double flat_overlap_ms = 0.0;  ///< per-row messages hidden behind compute
   double agg_sync_ms = 0.0;      ///< buffered messages, scatter then compute
   double agg_overlap_ms = 0.0;   ///< buffered + hidden — the full pipeline
-  /// Cluster path: ghost_exchange split by link level (intra + inter ==
-  /// ghost_exchange bytes/messages). Empty on the single-host path.
+  /// ghost_exchange split by link level (intra + inter == ghost_exchange
+  /// bytes/messages); inter is empty on one host.
   simt::TransferStats intra_exchange;
   simt::TransferStats inter_exchange;
 
@@ -132,7 +103,8 @@ class MultiDeviceRunner {
  public:
   /// Borrows the engine for graph preparation, the single-device baseline,
   /// and its GpuSpec/seed; the engine must outlive the runner. The
-  /// partition hash is seeded from the engine's configured seed.
+  /// partition hash is seeded from the engine's configured seed. Throws
+  /// std::invalid_argument when the cluster has no host or no device.
   MultiDeviceRunner(framework::Engine& engine, MultiRunConfig cfg);
 
   /// Shards the graph (once per graph, pooled), runs the algorithm on every
@@ -158,6 +130,7 @@ class MultiDeviceRunner {
 
   framework::Engine& engine_;
   MultiRunConfig cfg_;
+  simt::ClusterInterconnect net_;
 
   mutable std::mutex pool_mu_;  ///< guards pool_ map shape
   std::map<const framework::PreparedGraph*, std::shared_ptr<ShardSet>> pool_;

@@ -2,21 +2,39 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "framework/capacity.hpp"
 
 namespace tcgpu::fleet {
 
+namespace {
+
+simt::ClusterSpec cluster_of(const Fleet::Config& cfg) {
+  const std::uint32_t devices = std::max(1u, cfg.devices);
+  if (cfg.hosts == 0 || devices % cfg.hosts != 0) {
+    throw std::invalid_argument(
+        "Fleet: devices must be a positive multiple of hosts");
+  }
+  simt::ClusterSpec cs;
+  cs.hosts = cfg.hosts;
+  cs.host.devices = devices / cfg.hosts;
+  cs.host.intra = cfg.interconnect;
+  cs.inter = cfg.inter;
+  return cs;
+}
+
+}  // namespace
+
 Fleet::Fleet(framework::Engine& engine, Config cfg)
     : engine_(engine),
       cfg_(cfg),
+      cluster_(cluster_of(cfg_)),
       selector_(serve::Selector::Config{engine.config().spec, /*refine=*/false}),
       placer_(selector_,
-              Placer::Config{std::max(1u, cfg.devices), cfg.max_shards,
-                             cfg.strategy, cfg.interconnect,
-                             cfg.shard_min_kernel_ms, cfg.min_speedup,
-                             std::max(1u, cfg.hosts), cfg.inter}) {
-  const std::uint32_t n = std::max(1u, cfg_.devices);
+              Placer::Config{cluster_, cfg.max_shards, cfg.strategy,
+                             cfg.shard_min_kernel_ms, cfg.min_speedup}) {
+  const std::uint32_t n = cluster_.num_devices();
   const std::uint64_t capacity =
       cfg_.device_capacity_bytes != 0
           ? cfg_.device_capacity_bytes
@@ -30,23 +48,16 @@ Fleet::Fleet(framework::Engine& engine, Config cfg)
 
 Placement Fleet::placement_for(const serve::ExecutionRequest& req) {
   const auto key = std::make_pair(req.key, req.version);
-  std::vector<double> busy;
   {
     std::lock_guard lk(mu_);
     const auto it = placements_.find(key);
     if (it != placements_.end()) return it->second;
-    if (cfg_.load_aware) {
-      busy.reserve(slots_.size());
-      for (const DeviceSlot& s : slots_) busy.push_back(s.busy_ms);
-    }
   }
   // Latched on first decision per (graph, version) — like selector picks —
   // and computed from stats + config only (never load), so the table is
-  // reproducible across worker counts and arrival orders. The opt-in
-  // load-aware mode folds a snapshot of the slots' queued time into that
-  // first decision instead (the latch still holds afterwards).
+  // reproducible across worker counts and arrival orders.
   const Placement pl =
-      placer_.decide(req.algorithm, req.modeled, req.graph->stats, busy);
+      placer_.decide(req.algorithm, req.modeled, req.graph->stats);
   std::lock_guard lk(mu_);
   return placements_.emplace(key, pl).first->second;
 }
@@ -55,26 +66,21 @@ dist::MultiDeviceRunner& Fleet::runner_for(std::uint32_t shards) {
   std::lock_guard lk(mu_);
   auto& runner = runners_[shards];
   if (!runner) {
-    dist::MultiRunConfig rc;
-    rc.num_devices = shards;
-    rc.strategy = cfg_.strategy;
-    rc.interconnect = cfg_.interconnect;
-    rc.measure_baseline = false;  // the serving path never pays an extra run
-    // On a cluster, a width that spills past one host's devices runs over
-    // the two-level comm model. Hosts fill in contiguous blocks, so the
-    // shard count per host is the width split over the fewest power-of-two
-    // hosts that fit it (widths are powers of two; a power-of-two host
-    // count always divides one).
-    if (cfg_.hosts > 1) {
-      const std::uint32_t per_host =
-          std::max(1u, std::max(1u, cfg_.devices) / cfg_.hosts);
-      const std::uint32_t need = (shards + per_host - 1) / per_host;
-      std::uint32_t h = 1;
-      while (h < need) h <<= 1;
-      rc.hosts = std::min(h, shards);
-      rc.inter = cfg_.inter;
-    }
-    runner = std::make_unique<dist::MultiDeviceRunner>(engine_, rc);
+    // Hosts fill in contiguous blocks, so a width runs on the fewest
+    // power-of-two hosts that fit it (widths are powers of two; a
+    // power-of-two host count always divides one), split evenly.
+    const std::uint32_t per_host = cluster_.host.devices;
+    const std::uint32_t need = (shards + per_host - 1) / per_host;
+    std::uint32_t hosts = 1;
+    while (hosts < need) hosts <<= 1;
+    hosts = std::min(hosts, shards);
+    simt::ClusterSpec cs = cluster_;
+    cs.hosts = hosts;
+    cs.host.devices = shards / hosts;
+    // The serving path never pays an extra baseline run.
+    runner = std::make_unique<dist::MultiDeviceRunner>(
+        engine_, dist::MultiRunConfig{cs, cfg_.strategy,
+                                      /*measure_baseline=*/false});
   }
   return *runner;
 }

@@ -16,9 +16,13 @@
 //      serving path must not pay an extra full kernel per query) and charge
 //      each participating slot its shard's kernel time.
 //
+// The Config's devices / hosts / interconnect / inter fields describe one
+// simt::ClusterSpec, built once in the constructor; the placer prices every
+// width on it and each width's runner runs on its share of it.
+//
 // With Config::devices == 1 every query takes the single-device path on
 // slot 0 through the same Engine::run a backend-less QueryService calls —
-// counts, picks and KernelStats are bit-identical to the legacy path.
+// counts, picks and KernelStats are bit-identical to the plain service.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +53,8 @@ struct FleetCounters {
 class Fleet : public serve::ExecutionBackend {
  public:
   struct Config {
-    std::uint32_t devices = 1;
+    std::uint32_t devices = 1;  ///< 0 is treated as 1
+    /// Link between the devices of one host.
     simt::InterconnectSpec interconnect = simt::InterconnectSpec::nvlink();
     dist::PartitionStrategy strategy = dist::PartitionStrategy::kRange;
     std::uint32_t max_shards = 8;
@@ -59,22 +64,17 @@ class Fleet : public serve::ExecutionBackend {
     bool result_cache = true;
     /// Per-device image budget; 0 = framework::device_budget_bytes(spec).
     std::uint64_t device_capacity_bytes = 0;
-    /// Hosts the devices spread over (contiguous blocks of devices / hosts;
-    /// must divide devices). 1 = flat single-host fleet, bit-identical to
-    /// the pre-cluster behavior; > 1 prices placements on the two-level
-    /// model (`interconnect` within a host, `inter` between) and runs
-    /// cross-host shards through the cluster-aware MultiDeviceRunner.
+    /// Hosts the devices spread over, in contiguous blocks of
+    /// devices / hosts; must divide devices. `inter` links the hosts.
     std::uint32_t hosts = 1;
     simt::InterconnectSpec inter = simt::InterconnectSpec::ib_edr();
-    /// Opt-in load-aware placement: fold each slot's queued busy_ms into
-    /// decide() (see Placer). Off by default — placements stay a pure
-    /// function of (stats, config) and the placement table stays pinnable.
-    bool load_aware = false;
   };
 
   /// Borrows the engine (it must outlive the fleet). The placement cost
   /// model runs on the fleet's own Selector instance over the engine's spec
   /// — placement must not wobble with the service's online refinement.
+  /// Throws std::invalid_argument unless hosts is a positive divisor of
+  /// devices.
   Fleet(framework::Engine& engine, Config cfg);
 
   serve::ExecutionOutcome execute(const serve::ExecutionRequest& req) override;
@@ -101,6 +101,7 @@ class Fleet : public serve::ExecutionBackend {
 
   framework::Engine& engine_;
   Config cfg_;
+  simt::ClusterSpec cluster_;  ///< the topology cfg_ describes
   serve::Selector selector_;  ///< placement scoring only (no refinement)
   Placer placer_;
   ResultCache cache_;

@@ -1,7 +1,6 @@
 #include "fleet/placer.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace tcgpu::fleet {
 
@@ -19,72 +18,29 @@ std::string Placement::describe() const {
   return label;
 }
 
-Placer::Placer(const serve::Selector& selector, Config cfg)
-    : selector_(selector), cfg_(cfg) {
-  if (cfg_.hosts == 0 ||
-      (cfg_.devices != 0 && cfg_.devices % cfg_.hosts != 0)) {
-    throw std::invalid_argument(
-        "Placer: devices must be a positive multiple of hosts");
-  }
-}
-
-serve::PlacementCost Placer::width_cost(const std::string& algorithm,
-                                        const serve::CostBreakdown& single,
-                                        std::uint32_t devices,
-                                        const graph::GraphStats& stats) const {
-  if (cfg_.hosts > 1) {
-    simt::ClusterSpec cs;
-    cs.hosts = cfg_.hosts;
-    cs.host.devices = std::max(1u, cfg_.devices / cfg_.hosts);
-    cs.host.intra = cfg_.interconnect;
-    cs.inter = cfg_.inter;
-    return selector_.sharded_cost(algorithm, single, devices, stats, cs);
-  }
-  return selector_.sharded_cost(algorithm, single, devices, stats,
-                                cfg_.interconnect);
-}
-
 Placement Placer::decide(const std::string& algorithm,
                          const serve::CostBreakdown& single,
                          const graph::GraphStats& stats) const {
-  return decide(algorithm, single, stats, {});
-}
-
-Placement Placer::decide(const std::string& algorithm,
-                         const serve::CostBreakdown& single,
-                         const graph::GraphStats& stats,
-                         const std::vector<double>& slot_busy_ms) const {
-  // Wait for a width-k placement: the k-th least-busy device's queue (all k
-  // devices must be free before the sharded kernel starts). Empty input —
-  // the pure, load-free call — waits zero everywhere.
-  std::vector<double> busy(slot_busy_ms);
-  std::sort(busy.begin(), busy.end());
-  const auto wait_ms = [&](std::uint32_t k) {
-    if (busy.empty()) return 0.0;
-    return busy[std::min<std::size_t>(k, busy.size()) - 1];
-  };
-
   Placement best;
-  best.cost = width_cost(algorithm, single, 1, stats);
+  best.cost = selector_.sharded_cost(algorithm, single, 1, stats, cfg_.cluster);
   best.single_ms = single.modeled_ms;
-  double best_score = best.cost.total_ms + wait_ms(1);
-  if (cfg_.devices < 2 || single.modeled_ms < cfg_.shard_min_kernel_ms) {
+  const std::uint32_t devices = cfg_.cluster.num_devices();
+  if (devices < 2 || single.modeled_ms < cfg_.shard_min_kernel_ms) {
     return best;  // small kernel or no peers: stay on one warm device
   }
-  const std::uint32_t widest = std::min(cfg_.devices, cfg_.max_shards);
+  const std::uint32_t widest = std::min(devices, cfg_.max_shards);
   for (std::uint32_t k = 2; k <= widest; k *= 2) {
-    const serve::PlacementCost c = width_cost(algorithm, single, k, stats);
+    const serve::PlacementCost c =
+        selector_.sharded_cost(algorithm, single, k, stats, cfg_.cluster);
     // Admissible only when the modeled win over single-device clears the
     // speedup bar; among admissible widths take the cheapest total (strictly
     // cheaper — ties keep the narrower width, fewer devices held).
     if (single.modeled_ms < c.total_ms * cfg_.min_speedup) continue;
-    const double score = c.total_ms + wait_ms(k);
-    if (score < best_score) {
+    if (c.total_ms < best.cost.total_ms) {
       best.sharded = true;
       best.shards = k;
       best.strategy = cfg_.strategy;
       best.cost = c;
-      best_score = score;
     }
   }
   return best;

@@ -13,20 +13,16 @@
 // Determinism contract: decide() is a pure function of (stats, single-device
 // score, config) — never of device load or arrival order — so placement
 // tables are reproducible across worker counts and pinnable in CI exactly
-// like the selector's decision table. The load-aware overload is the
-// explicit opt-out: it additionally charges each width the modeled wait for
-// its devices to drain, trading the reproducible table for queueing-aware
-// decisions (with an all-idle fleet it reduces to the pure function).
+// like the selector's decision table.
 //
-// On a cluster (Config::hosts > 1) widths are priced through the selector's
-// two-level overload: a width that fits one host pays only the intra link,
-// identical to the flat model, while wider placements pay the inter-host
+// Widths are priced on the fleet's simt::ClusterSpec: a width that fits one
+// host pays only the intra link, while wider placements pay the inter-host
 // link for the ghost share and all-reduce hops that cross a boundary.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "dist/partition.hpp"
 #include "graph/stats.hpp"
@@ -44,18 +40,17 @@ struct Placement {
 
   /// Stable label for tables and CI pinning: "single" or "shard<k>:<strat>",
   /// with ":<h>h" appended when the placement crosses host boundaries
-  /// ("shard8:range:2h") — single-host labels are unchanged from the
-  /// pre-cluster placer.
+  /// ("shard8:range:2h").
   std::string describe() const;
 };
 
 class Placer {
  public:
   struct Config {
-    std::uint32_t devices = 1;    ///< fleet size (shard widths stay <= this)
+    /// The fleet's topology; shard widths stay <= cluster.num_devices().
+    simt::ClusterSpec cluster;
     std::uint32_t max_shards = 8; ///< cap independent of fleet size
     dist::PartitionStrategy strategy = dist::PartitionStrategy::kRange;
-    simt::InterconnectSpec interconnect = simt::InterconnectSpec::nvlink();
     /// Sharding is inadmissible below this single-device modeled time —
     /// launch + scatter latency dominates small kernels no matter what the
     /// model says about the work term. 50us sits above the modeled NVLink
@@ -64,44 +59,22 @@ class Placer {
     double shard_min_kernel_ms = 0.05;
     /// Required modeled speedup (single / sharded total) before sharding.
     double min_speedup = 1.2;
-    /// Hosts the fleet's devices spread over (contiguous blocks of
-    /// devices / hosts). 1 = flat single-host pricing, bit-identical to the
-    /// pre-cluster placer; > 1 prices each width on the two-level model
-    /// (`interconnect` within a host, `inter` between hosts). Must divide
-    /// `devices`.
-    std::uint32_t hosts = 1;
-    simt::InterconnectSpec inter = simt::InterconnectSpec::ib_edr();
   };
 
   /// Borrows the selector (for sharded_cost); it must outlive the placer.
-  /// Throws std::invalid_argument when hosts doesn't divide devices.
-  Placer(const serve::Selector& selector, Config cfg);
+  Placer(const serve::Selector& selector, Config cfg)
+      : selector_(selector), cfg_(std::move(cfg)) {}
 
   /// Picks the cheapest admissible placement of `algorithm` (already chosen
   /// by the selector, scored as `single`) for a graph with these stats.
+  /// Throws std::invalid_argument when the cluster has no host or device.
   Placement decide(const std::string& algorithm,
                    const serve::CostBreakdown& single,
                    const graph::GraphStats& stats) const;
 
-  /// Load-aware variant: adds to each width's score the modeled wait for
-  /// that many devices to drain — slot_busy_ms[i] is device i's queued
-  /// kernel time, and a width-k placement waits for the k-th least-busy
-  /// device. Admissibility (shard_min_kernel_ms, min_speedup) still uses
-  /// load-free modeled times, so load shifts choices only among already
-  /// admissible widths. With an all-idle fleet this is exactly decide().
-  Placement decide(const std::string& algorithm,
-                   const serve::CostBreakdown& single,
-                   const graph::GraphStats& stats,
-                   const std::vector<double>& slot_busy_ms) const;
-
   const Config& config() const { return cfg_; }
 
  private:
-  serve::PlacementCost width_cost(const std::string& algorithm,
-                                  const serve::CostBreakdown& single,
-                                  std::uint32_t devices,
-                                  const graph::GraphStats& stats) const;
-
   const serve::Selector& selector_;
   Config cfg_;
 };

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "simt/interconnect.hpp"
-
 namespace tcgpu::serve {
 
 namespace {
@@ -277,13 +275,25 @@ PlacementCost Selector::sharded_cost(const std::string& algorithm,
                                      const CostBreakdown& single,
                                      std::uint32_t devices,
                                      const graph::GraphStats& stats,
-                                     const simt::InterconnectSpec& net) const {
+                                     const simt::ClusterSpec& cluster) const {
+  if (cluster.hosts == 0 || cluster.host.devices == 0) {
+    throw std::invalid_argument(
+        "Selector::sharded_cost: cluster must have >= 1 host with >= 1 device");
+  }
   PlacementCost pc;
   pc.devices = std::max(1u, devices);
   if (pc.devices == 1) {
     pc.kernel_ms = single.modeled_ms;
     pc.total_ms = single.modeled_ms;
     return pc;
+  }
+  const std::uint32_t k = pc.devices;
+  const std::uint32_t per_host = cluster.host.devices;
+  pc.hosts = (k + per_host - 1) / per_host;
+  if (pc.hosts > cluster.hosts) {
+    throw std::invalid_argument(
+        "Selector::sharded_cost: placement needs " + std::to_string(pc.hosts) +
+        " hosts but the cluster has " + std::to_string(cluster.hosts));
   }
   // An even 1/k work split shrinks the modeled kernel term by k^alpha (the
   // model is sub-linear in work, so sharding never reaches ideal 1/k), and
@@ -295,94 +305,42 @@ PlacementCost Selector::sharded_cost(const std::string& algorithm,
       break;
     }
   }
-  const double k = static_cast<double>(pc.devices);
+  const double kd = static_cast<double>(k);
   const double work_ms = std::max(0.0, single.modeled_ms - single.launch_ms);
-  pc.kernel_ms = work_ms / std::pow(k, alpha) + single.launch_ms;
+  pc.kernel_ms = work_ms / std::pow(kd, alpha) + single.launch_ms;
   // Comm: each shard must receive the ghost adjacency rows it does not own,
   // as one message per contributing peer, then the per-device counts
   // all-reduce. dist::Partitioner's measured replication factor sits near 2
   // on the paper graphs — a shard imports roughly its own 4-byte-per-edge
   // share of the CSR image again — so ghost traffic is modeled as E/k
-  // entries per device, not the full (k-1)/k remainder.
+  // entries per device, not the full (k-1)/k remainder. Devices fill hosts
+  // in contiguous blocks: a device on a full host has local - 1 intra peers
+  // and k - local peers behind the network, and the network carries their
+  // share of the ghost bytes (conservative — the host-aware partitioner
+  // skews ghosts intra). Every shard receives in parallel, so one device's
+  // serialized intra + inter receive is the scatter time.
   const auto ghost_per_dev = static_cast<std::uint64_t>(
-      4.0 * static_cast<double>(stats.num_undirected_edges) / k);
-  const simt::Interconnect link(net, pc.devices);
-  const std::vector<std::uint64_t> bytes(pc.devices, ghost_per_dev);
-  const std::vector<std::uint64_t> msgs(pc.devices, pc.devices - 1);
-  pc.comm_ms = link.scatter(bytes, msgs).time_ms +
-               link.all_reduce(sizeof(std::uint64_t)).time_ms;
-  pc.total_ms = pc.kernel_ms + pc.comm_ms;
-  return pc;
-}
-
-PlacementCost Selector::sharded_cost(const std::string& algorithm,
-                                     const CostBreakdown& single,
-                                     std::uint32_t devices,
-                                     const graph::GraphStats& stats,
-                                     const simt::ClusterSpec& cluster) const {
-  if (cluster.hosts == 0 || cluster.host.devices == 0) {
-    throw std::invalid_argument(
-        "Selector::sharded_cost: cluster must have >= 1 host with >= 1 device");
-  }
-  const std::uint32_t k = std::max(1u, devices);
-  const std::uint32_t per_host = cluster.host.devices;
-  const std::uint32_t hosts_used = (k + per_host - 1) / per_host;
-  if (hosts_used <= 1) {
-    // Fits one host: exactly the flat model on the intra link, so placements
-    // that never cross a host boundary price identically to the pre-cluster
-    // selector (and the fleet's pinned single-host tables stay valid).
-    return sharded_cost(algorithm, single, devices, stats, cluster.host.intra);
-  }
-  if (hosts_used > cluster.hosts) {
-    throw std::invalid_argument(
-        "Selector::sharded_cost: placement needs " +
-        std::to_string(hosts_used) + " hosts but the cluster has " +
-        std::to_string(cluster.hosts));
-  }
-
-  PlacementCost pc;
-  pc.devices = k;
-  pc.hosts = hosts_used;
-  double alpha = 0.7;
-  for (const auto& m : models_) {
-    if (m.name == algorithm) {
-      alpha = m.work_exponent;
-      break;
-    }
-  }
-  const double kd = static_cast<double>(k);
-  const double work_ms = std::max(0.0, single.modeled_ms - single.launch_ms);
-  pc.kernel_ms = work_ms / std::pow(kd, alpha) + single.launch_ms;
-
-  // Same E/k-entry ghost volume per shard as the flat model, split by where
-  // the peers sit: a device on a full host has per_host - 1 intra peers and
-  // k - per_host peers behind the network, bytes proportional to the peer
-  // counts (conservative — the host-aware partitioner skews ghosts intra),
-  // one aggregated message per peer. Every shard receives in parallel, so
-  // one device's serialized intra + inter receive is the scatter time.
-  const double ghost_per_dev =
-      4.0 * static_cast<double>(stats.num_undirected_edges) / kd;
-  const double intra_peers = static_cast<double>(per_host - 1);
-  const double inter_peers = static_cast<double>(k - per_host);
-  const double total_peers = std::max(1.0, intra_peers + inter_peers);
-  const auto level_ms = [&](const simt::InterconnectSpec& l, double peers) {
-    const double bytes = ghost_per_dev * peers / total_peers;
-    return peers * l.latency_us * 1e-3 +
-           bytes / (l.peer_bandwidth_gbps * 1e9) * 1e3;
-  };
-  const double scatter_ms = level_ms(cluster.host.intra, intra_peers) +
-                            level_ms(cluster.inter, inter_peers);
-  // Hierarchical count all-reduce: reduce + broadcast trees within a host,
-  // one recursive-doubling exchange among the host leaders.
+      4.0 * static_cast<double>(stats.num_undirected_edges) / kd);
+  const std::uint32_t local = std::min(per_host, k);
+  const double intra_peers = static_cast<double>(local - 1);
+  const double inter_peers = static_cast<double>(k - local);
+  const double inter_bytes = static_cast<double>(ghost_per_dev) * inter_peers /
+                             std::max(1.0, intra_peers + inter_peers);
+  const double intra_bytes = static_cast<double>(ghost_per_dev) - inter_bytes;
+  // The count all-reduce is hierarchical: reduce + broadcast trees within a
+  // host, one recursive-doubling exchange among the host leaders.
   const auto tree_steps = [](std::uint32_t nodes) {
     std::uint32_t s = 0;
     for (std::uint32_t span = 1; span < nodes; span <<= 1) ++s;
     return s;
   };
+  const double scatter_ms =
+      cluster.host.intra.time_ms(intra_peers, intra_bytes) +
+      cluster.inter.time_ms(inter_peers, inter_bytes);
   const double reduce_ms =
-      2.0 * tree_steps(std::min(per_host, k)) *
+      2.0 * tree_steps(local) *
           cluster.host.intra.transfer_ms(sizeof(std::uint64_t)) +
-      tree_steps(hosts_used) * cluster.inter.transfer_ms(sizeof(std::uint64_t));
+      tree_steps(pc.hosts) * cluster.inter.transfer_ms(sizeof(std::uint64_t));
   pc.comm_ms = scatter_ms + reduce_ms;
   pc.total_ms = pc.kernel_ms + pc.comm_ms;
   return pc;

@@ -186,21 +186,14 @@ class Selector {
   MutationCost mutation_cost(const graph::GraphStats& stats,
                              std::size_t batch_ops) const;
 
-  /// Models running `algorithm` split across `devices` even shards over the
-  /// given interconnect, starting from its single-device CostBreakdown.
-  /// devices == 1 returns the single-device cost with zero comm.
-  PlacementCost sharded_cost(const std::string& algorithm,
-                             const CostBreakdown& single, std::uint32_t devices,
-                             const graph::GraphStats& stats,
-                             const simt::InterconnectSpec& net) const;
-
-  /// Two-level variant: the same split across `devices` shards, but on a
-  /// hosts x devices-per-host cluster. Devices fill hosts in contiguous
-  /// blocks, so a placement that fits one host (devices <= per-host count)
-  /// prices *identically* to the flat overload on the intra link; wider
-  /// placements pay the cluster's inter-host link for the ghost share and
-  /// all-reduce hops that cross a host boundary. Throws when the placement
-  /// needs more hosts than the cluster has.
+  /// Models running `algorithm` split across `devices` even shards on a
+  /// hosts x devices-per-host cluster, starting from its single-device
+  /// CostBreakdown. Devices fill hosts in contiguous blocks: a placement
+  /// that fits one host pays only the intra link, wider ones pay the
+  /// cluster's inter-host link for the ghost share and all-reduce hops that
+  /// cross a host boundary. devices == 1 returns the single-device cost with
+  /// zero comm. Throws when the placement needs more hosts than the cluster
+  /// has, or the cluster has no host or no device.
   PlacementCost sharded_cost(const std::string& algorithm,
                              const CostBreakdown& single, std::uint32_t devices,
                              const graph::GraphStats& stats,

@@ -84,14 +84,9 @@ struct QueryService::StreamState {
 };
 
 QueryService::QueryService(framework::Engine& engine, Config cfg)
-    : QueryService(engine,
-                   Selector::Config{engine.config().spec, cfg.refine}, cfg) {}
-
-QueryService::QueryService(framework::Engine& engine,
-                           Selector::Config selector_cfg, Config cfg)
     : engine_(engine),
       cfg_(cfg),
-      selector_(std::move(selector_cfg)),
+      selector_(Selector::Config{engine.config().spec}),
       queue_(cfg.default_policy) {
   const std::size_t workers = std::max<std::size_t>(1, cfg_.workers);
   workers_.reserve(workers);
@@ -326,11 +321,10 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
       // full recount's with the graph — the selector models the crossover
       // and the commit takes whichever side is cheaper (both are exact and
       // produce bit-identical snapshots).
-      stream::CommitMode mode = stream::CommitMode::kDelta;
-      if (cfg_.mutation_model &&
-          !selector_.mutation_cost(old_stats, ops.size()).use_delta) {
-        mode = stream::CommitMode::kRecount;
-      }
+      const stream::CommitMode mode =
+          selector_.mutation_cost(old_stats, ops.size()).use_delta
+              ? stream::CommitMode::kDelta
+              : stream::CommitMode::kRecount;
       cr = ss->dyn->commit(ops, mode);
     } catch (const std::exception& e) {
       p.trace.run_done = now();
@@ -370,7 +364,7 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
   {
     std::lock_guard lk(mu_);
     ++counters_.mutations;
-    if (changed && cfg_.sticky_picks) {
+    if (changed) {
       // Latches below the new version describe a graph that no longer
       // exists; the next count query re-scores and re-latches at version N.
       picks_.erase(
@@ -516,7 +510,7 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
       reply.selected = true;
       const PickKey pick_key{p->pick, graph_version, p->req.hint};
       bool latched = false;
-      if (cfg_.sticky_picks) {
+      {
         std::lock_guard lk(mu_);
         const auto it = picks_.find(pick_key);
         if (it != picks_.end()) {
@@ -536,10 +530,8 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
           Candidate c = selector_.choose(graph->stats, p->req.hint);
           algo = c.algorithm;
           reply.modeled = c.cost;
-          if (cfg_.sticky_picks) {
-            std::lock_guard lk(mu_);
-            picks_.emplace(pick_key, algo);
-          }
+          std::lock_guard lk(mu_);
+          picks_.emplace(pick_key, algo);
         }
       } catch (const std::exception& e) {
         reply.status = QueryStatus::kInvalidRequest;
@@ -579,7 +571,7 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
       reply.valid = out.valid;
       reply.stats = out.result.total;
       reply.status = QueryStatus::kOk;
-      if (cfg_.refine && !cache_hit) {
+      if (!cache_hit) {
         // A cache hit carries no fresh KernelStats; folding its synthetic
         // run back in would double-count the original observation.
         selector_.observe(algo, graph->stats, out.result.total);

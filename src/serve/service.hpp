@@ -163,16 +163,8 @@ class QueryService {
     /// with kRejected (load shedding).
     TenantPolicy default_policy;
     std::size_t max_batch = 32;  ///< same-graph queries fused per batch
-    bool refine = true;          ///< selector online refinement
-    /// Latch the selector's decision per (graph, version, hint) on first
-    /// choice; latches below the current version are pruned on mutation.
-    bool sticky_picks = true;
     /// Snapshot history depth per streamed dataset (DynamicGraph::Config).
     std::size_t snapshots = 4;
-    /// Model delta-commit vs full recount per mutation batch
-    /// (Selector::mutation_cost) and commit with the cheaper mode; false
-    /// always takes the delta path (the pre-model behavior).
-    bool mutation_model = true;
     /// Execution backend; nullptr = direct Engine::run (bit-identical to the
     /// pre-fleet single-device path). Borrowed; must outlive the service.
     ExecutionBackend* backend = nullptr;
@@ -182,8 +174,6 @@ class QueryService {
   /// must outlive the service. Algorithm universe = selector's models.
   explicit QueryService(framework::Engine& engine) : QueryService(engine, Config{}) {}
   QueryService(framework::Engine& engine, Config cfg);
-  QueryService(framework::Engine& engine, Selector::Config selector_cfg,
-               Config cfg);
   ~QueryService();
 
   QueryService(const QueryService&) = delete;

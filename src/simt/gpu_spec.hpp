@@ -74,18 +74,25 @@ struct GpuSpec {
 };
 
 /// Inter-device link model for multi-GPU execution (src/dist/). Transfers
-/// are counted in bytes and messages by the Interconnect cost model and
-/// converted to milliseconds here, the same counted-quantity philosophy as
-/// the kernel cost model above.
+/// are counted in bytes and messages by the ClusterInterconnect cost model
+/// and converted to milliseconds here, the same counted-quantity philosophy
+/// as the kernel cost model above.
 struct InterconnectSpec {
   std::string name = "nvlink";
   double peer_bandwidth_gbps = 25.0;  ///< per peer pair, per direction
   double latency_us = 1.9;            ///< fixed cost per message
 
+  /// Milliseconds for one receiver to take `messages` messages carrying
+  /// `bytes` bytes in total over this link, serialized: every message pays
+  /// the latency, every byte the bandwidth.
+  double time_ms(double messages, double bytes) const {
+    return messages * latency_us * 1e-3 +
+           bytes / (peer_bandwidth_gbps * 1e9) * 1e3;
+  }
+
   /// Milliseconds to move `bytes` between one device pair as one message.
   double transfer_ms(std::uint64_t bytes) const {
-    return latency_us * 1e-3 +
-           static_cast<double>(bytes) / (peer_bandwidth_gbps * 1e9) * 1e3;
+    return time_ms(1.0, static_cast<double>(bytes));
   }
 
   /// NVLink 2.0 as on the paper's V100 testbed: 25 GB/s per link direction.
@@ -126,8 +133,8 @@ struct ClusterSpec {
 
   std::uint32_t num_devices() const { return hosts * host.devices; }
 
-  /// One host, `devices` GPUs on `link` — the degenerate topology every
-  /// pre-cluster code path models.
+  /// One host, `devices` GPUs on `link`: every device pair rides `link`
+  /// and `inter` is never priced.
   static ClusterSpec single_host(
       std::uint32_t devices,
       InterconnectSpec link = InterconnectSpec::nvlink());

@@ -5,41 +5,6 @@
 
 namespace tcgpu::simt {
 
-TransferStats Interconnect::scatter(
-    const std::vector<std::uint64_t>& per_device_bytes,
-    const std::vector<std::uint64_t>& per_device_messages) const {
-  if (per_device_bytes.size() != num_devices_ ||
-      per_device_messages.size() != num_devices_) {
-    throw std::invalid_argument("Interconnect::scatter: per-device vectors must "
-                                "have one entry per device");
-  }
-  TransferStats t;
-  for (std::uint32_t d = 0; d < num_devices_; ++d) {
-    t.bytes += per_device_bytes[d];
-    t.messages += per_device_messages[d];
-    // Device d serializes its incoming messages; devices receive in parallel.
-    const double recv_ms =
-        static_cast<double>(per_device_messages[d]) * spec_.latency_us * 1e-3 +
-        static_cast<double>(per_device_bytes[d]) /
-            (spec_.peer_bandwidth_gbps * 1e9) * 1e3;
-    t.time_ms = std::max(t.time_ms, recv_ms);
-  }
-  return t;
-}
-
-TransferStats Interconnect::all_reduce(std::uint64_t bytes_per_device) const {
-  TransferStats t;
-  if (num_devices_ <= 1) return t;  // nothing to exchange
-  // Binomial reduce tree then broadcast tree: N-1 payload moves each way,
-  // ceil(log2 N) latency-bound steps each way on the critical path.
-  std::uint32_t steps = 0;
-  for (std::uint32_t span = 1; span < num_devices_; span <<= 1) ++steps;
-  t.bytes = 2ull * (num_devices_ - 1) * bytes_per_device;
-  t.messages = 2ull * (num_devices_ - 1);
-  t.time_ms = 2.0 * steps * spec_.transfer_ms(bytes_per_device);
-  return t;
-}
-
 namespace {
 
 std::uint32_t tree_steps(std::uint32_t nodes) {
@@ -83,27 +48,28 @@ ScatterModel ClusterInterconnect::scatter(
       throw std::invalid_argument(
           "ClusterInterconnect::scatter: traffic matrices must be N x N");
     }
-    double intra_ms = 0.0, inter_ms = 0.0;
+    // Device d's traffic summed per link level, then each level priced once.
+    TransferStats intra, inter;
     for (std::uint32_t o = 0; o < num_devices_; ++o) {
       if (o == d) continue;
       const std::uint64_t b = bytes[d][o];
-      const std::uint64_t msgs =
-          aggregate ? (b == 0 ? 0 : (b + buffer_bytes - 1) / buffer_bytes)
-                    : rows[d][o];
-      if (b == 0 && msgs == 0) continue;
-      const InterconnectSpec& l = link(d, o);
-      const double ms =
-          static_cast<double>(msgs) * l.latency_us * 1e-3 +
-          static_cast<double>(b) / (l.peer_bandwidth_gbps * 1e9) * 1e3;
-      TransferStats& level = same_host(d, o) ? m.intra : m.inter;
+      TransferStats& level = same_host(d, o) ? intra : inter;
       level.bytes += b;
-      level.messages += msgs;
-      (same_host(d, o) ? intra_ms : inter_ms) += ms;
+      level.messages +=
+          aggregate ? (b + buffer_bytes - 1) / buffer_bytes : rows[d][o];
     }
+    intra.time_ms = spec_.host.intra.time_ms(
+        static_cast<double>(intra.messages), static_cast<double>(intra.bytes));
+    inter.time_ms = spec_.inter.time_ms(static_cast<double>(inter.messages),
+                                        static_cast<double>(inter.bytes));
     // Each device serializes its own incoming messages across both levels.
-    m.per_device_ms[d] = intra_ms + inter_ms;
-    m.intra.time_ms = std::max(m.intra.time_ms, intra_ms);
-    m.inter.time_ms = std::max(m.inter.time_ms, inter_ms);
+    m.per_device_ms[d] = intra.time_ms + inter.time_ms;
+    m.intra.bytes += intra.bytes;
+    m.intra.messages += intra.messages;
+    m.intra.time_ms = std::max(m.intra.time_ms, intra.time_ms);
+    m.inter.bytes += inter.bytes;
+    m.inter.messages += inter.messages;
+    m.inter.time_ms = std::max(m.inter.time_ms, inter.time_ms);
     m.total.time_ms = std::max(m.total.time_ms, m.per_device_ms[d]);
   }
   m.total.bytes = m.intra.bytes + m.inter.bytes;

@@ -1,12 +1,14 @@
-// Modeled multi-GPU interconnect (NVLink / PCIe).
+// Modeled multi-GPU / multi-node interconnect (NVLink / PCIe within a host,
+// Ethernet / InfiniBand between hosts).
 //
 // The single-device simulator derives kernel time from counted events; the
 // interconnect does the same for inter-device traffic: the dist:: layer
-// counts the bytes each shard has to receive (its ghost/proxy adjacency
-// rows) and the bytes of the final count reduction, and this model converts
-// those counts into transfer time under a latency + bandwidth link model.
-// Nothing is sampled or measured — scaling curves come from counted
-// quantities exactly like the kernel metrics.
+// counts the bytes each shard has to receive from each owner (its ghost
+// adjacency rows) and the bytes of the final count reduction, and this model
+// converts those counts into transfer time under a latency + bandwidth link
+// model. Nothing is sampled or measured — scaling curves come from counted
+// quantities exactly like the kernel metrics. One host is just the
+// hosts == 1 shape of the same model.
 #pragma once
 
 #include <cstdint>
@@ -33,32 +35,6 @@ struct TransferStats {
   bool operator==(const TransferStats&) const = default;
 };
 
-class Interconnect {
- public:
-  Interconnect(InterconnectSpec spec, std::uint32_t num_devices)
-      : spec_(std::move(spec)), num_devices_(num_devices) {}
-
-  const InterconnectSpec& spec() const { return spec_; }
-  std::uint32_t num_devices() const { return num_devices_; }
-
-  /// Shard/ghost distribution: per_device_bytes[d] is what device d must
-  /// receive from peers, split into per_device_messages[d] point-to-point
-  /// messages (one per source peer). Devices receive in parallel, each
-  /// serializing its own incoming messages, so the modeled time is the
-  /// slowest device's receive time.
-  TransferStats scatter(const std::vector<std::uint64_t>& per_device_bytes,
-                        const std::vector<std::uint64_t>& per_device_messages) const;
-
-  /// All-reduce of one `bytes_per_device` payload (the per-device triangle
-  /// counts): modeled as a reduce + broadcast binomial tree, 2*ceil(log2 N)
-  /// latency-bound steps moving 2*(N-1) payloads in total.
-  TransferStats all_reduce(std::uint64_t bytes_per_device) const;
-
- private:
-  InterconnectSpec spec_;
-  std::uint32_t num_devices_;
-};
-
 /// Default flush-buffer bound for aggregated ghost scatters: per-destination
 /// updates coalesce into buffers of this size and flush one message per full
 /// buffer (the Galois buffered-message discipline). 4 MiB keeps the modeled
@@ -81,9 +57,8 @@ struct ScatterModel {
 
 /// Two-level interconnect: `spec.host.intra` between devices of one host,
 /// `spec.inter` between hosts. Device d lives on host d / spec.host.devices.
-/// Where the flat Interconnect prices a scatter from per-device aggregates,
-/// this one needs the per-pair traffic matrix — which bytes cross a host
-/// boundary decides which link model prices them.
+/// A scatter is priced from the per-pair traffic matrix — which bytes cross
+/// a host boundary decides which link model prices them.
 class ClusterInterconnect {
  public:
   /// Throws std::invalid_argument when the spec describes zero devices or
@@ -110,6 +85,9 @@ class ClusterInterconnect {
   ///   true  — buffered: ceil(bytes / buffer_bytes) coalesced flushes;
   ///   false — flat: one message per ghost row (the synchronous per-row
   ///           baseline the buffered path is measured against).
+  /// Each device's messages and bytes are summed per link level and each
+  /// level is priced once, so on one host a device's receive time is
+  /// InterconnectSpec::time_ms of its totals.
   ScatterModel scatter(const std::vector<std::vector<std::uint64_t>>& bytes,
                        const std::vector<std::vector<std::uint64_t>>& rows,
                        bool aggregate,
@@ -118,7 +96,8 @@ class ClusterInterconnect {
   /// Hierarchical all-reduce of one per-device payload: binomial reduce tree
   /// within each host on the intra link, one recursive-doubling exchange
   /// among the host leaders on the inter link, then an intra broadcast tree.
-  /// Degenerates to Interconnect::all_reduce exactly when hosts == 1.
+  /// On one host that is a plain binomial reduce + broadcast: 2(N-1)
+  /// payload moves over 2*ceil(log2 N) latency-bound steps.
   TransferStats all_reduce(std::uint64_t bytes_per_device) const;
 
  private:

@@ -1,11 +1,12 @@
-// Multi-node (hosts > 1) behavior of MultiDeviceRunner: the single-host
-// degeneracy pin, count exactness across topologies, the ordering of the
-// four (aggregation, overlap) pricings, and the config plumbing.
+// Multi-device behavior of MultiDeviceRunner on simt::ClusterInterconnect:
+// single-host numbers pinned against the flat model written out below,
+// count exactness across topologies, the ordering of the four
+// (aggregation, overlap) pricings, and the per-level exchange split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
+#include <vector>
 
 #include "dist/runner.hpp"
 #include "framework/runner.hpp"
@@ -24,67 +25,118 @@ framework::Engine::Config small_config() {
 /// A 2-hosts x 2-devices config over NVLink within / `inter` between.
 MultiRunConfig cluster_config(PartitionStrategy strategy,
                               const simt::InterconnectSpec& inter) {
-  MultiRunConfig cfg;
-  cfg.num_devices = 4;
-  cfg.strategy = strategy;
-  cfg.hosts = 2;
-  cfg.inter = inter;
-  return cfg;
+  simt::ClusterSpec cs = simt::ClusterSpec::infiniband(2, 2);
+  cs.inter = inter;
+  return {cs, strategy};
 }
 
-TEST(ClusterRunner, HostsMustDivideDevices) {
-  framework::Engine engine(small_config());
-  MultiRunConfig cfg;
-  cfg.num_devices = 4;
-  cfg.hosts = 3;
-  EXPECT_THROW(MultiDeviceRunner(engine, cfg), std::invalid_argument);
-  cfg.hosts = 0;
-  EXPECT_THROW(MultiDeviceRunner(engine, cfg), std::invalid_argument);
+// --- the flat single-host model, written out ---------------------------------
+
+/// Ghost scatter on one host: every device receives its ghost rows as one
+/// message per owner that sends it anything; devices receive in parallel.
+simt::TransferStats flat_scatter(const Partitioning& parts,
+                                 const simt::InterconnectSpec& l) {
+  simt::TransferStats t;
+  for (const Shard& s : parts.shards) {
+    std::uint64_t b = 0, m = 0;
+    for (const std::uint64_t x : s.recv_bytes_from) {
+      b += x;
+      m += x > 0 ? 1 : 0;
+    }
+    t.bytes += b;
+    t.messages += m;
+    t.time_ms = std::max(
+        t.time_ms, static_cast<double>(m) * l.latency_us * 1e-3 +
+                       static_cast<double>(b) / (l.peer_bandwidth_gbps * 1e9) *
+                           1e3);
+  }
+  return t;
 }
 
-TEST(ClusterRunner, ForClusterMirrorsTheSpec) {
-  const auto spec = simt::ClusterSpec::ethernet(2, 4);
-  const MultiRunConfig cfg = MultiRunConfig::for_cluster(spec);
-  EXPECT_EQ(cfg.num_devices, 8u);
-  EXPECT_EQ(cfg.hosts, 2u);
-  EXPECT_EQ(cfg.strategy, PartitionStrategy::kHostAware);
-  EXPECT_EQ(cfg.interconnect.name, spec.host.intra.name);
-  EXPECT_EQ(cfg.inter.name, spec.inter.name);
+/// Count all-reduce on one host: binomial reduce + broadcast trees.
+simt::TransferStats flat_all_reduce(std::uint32_t n,
+                                    const simt::InterconnectSpec& l) {
+  simt::TransferStats t;
+  if (n <= 1) return t;
+  std::uint32_t steps = 0;
+  for (std::uint32_t span = 1; span < n; span <<= 1) ++steps;
+  t.bytes = 2ull * (n - 1) * sizeof(std::uint64_t);
+  t.messages = 2ull * (n - 1);
+  t.time_ms = 2.0 * steps *
+              (l.latency_us * 1e-3 +
+               static_cast<double>(sizeof(std::uint64_t)) /
+                   (l.peer_bandwidth_gbps * 1e9) * 1e3);
+  return t;
 }
 
-TEST(ClusterRunner, SingleHostConfigIsBitIdenticalToLegacyRunner) {
-  // hosts == 1 must not even smell of the cluster model: every field of the
-  // result — triangles, simulator metrics, modeled times — matches the
-  // pre-cluster runner bit for bit, for every strategy at N == 4.
+std::vector<std::vector<std::uint64_t>> bytes_matrix(const Partitioning& p) {
+  std::vector<std::vector<std::uint64_t>> m;
+  for (const Shard& s : p.shards) m.push_back(s.recv_bytes_from);
+  return m;
+}
+
+std::vector<std::vector<std::uint64_t>> rows_matrix(const Partitioning& p) {
+  std::vector<std::vector<std::uint64_t>> m;
+  for (const Shard& s : p.shards) m.push_back(s.recv_rows_from);
+  return m;
+}
+
+TEST(ClusterInterconnect, SingleHostScatterMatchesFlatOracle) {
+  // Pricing each device's summed traffic once per link level reproduces the
+  // flat model bit for bit on one host; pricing pair by pair and summing
+  // the times does not.
   framework::Engine engine(small_config());
   const auto graph = engine.prepare("As-Caida");
-  for (const auto s : all_partition_strategies()) {
-    MultiDeviceRunner legacy(engine,
-                             {4, s, simt::InterconnectSpec::nvlink()});
-    MultiRunConfig cfg;
-    cfg.num_devices = 4;
-    cfg.strategy = s;
-    cfg.hosts = 1;
-    cfg.inter = simt::InterconnectSpec::eth10g();  // must be ignored
-    MultiDeviceRunner cluster(engine, cfg);
+  for (const auto& link :
+       {simt::InterconnectSpec::nvlink(), simt::InterconnectSpec::pcie3()}) {
+    for (const auto s : all_partition_strategies()) {
+      for (const std::uint32_t n : {2u, 4u, 8u}) {
+        const Partitioning parts =
+            Partitioner(s, n, engine.config().seed).partition(graph->dag);
+        const simt::ClusterInterconnect net(
+            simt::ClusterSpec::single_host(n, link), n);
+        const simt::ScatterModel m = net.scatter(
+            bytes_matrix(parts), rows_matrix(parts), /*aggregate=*/true);
+        EXPECT_EQ(m.total, flat_scatter(parts, link))
+            << link.name << " " << to_string(s) << " x" << n;
+        EXPECT_EQ(m.intra, m.total) << to_string(s) << " x" << n;
+        EXPECT_EQ(net.all_reduce(sizeof(std::uint64_t)),
+                  flat_all_reduce(n, link))
+            << link.name << " x" << n;
+      }
+    }
+  }
+}
 
-    const MultiRunResult a = legacy.run("Polak", graph);
-    const MultiRunResult b = cluster.run("Polak", graph);
-    EXPECT_EQ(b.hosts, 1u);
-    EXPECT_EQ(a.triangles, b.triangles) << to_string(s);
-    EXPECT_EQ(a.combined, b.combined) << to_string(s);
-    EXPECT_EQ(a.ghost_exchange, b.ghost_exchange) << to_string(s);
-    EXPECT_EQ(a.count_reduce, b.count_reduce) << to_string(s);
-    EXPECT_DOUBLE_EQ(a.device_ms, b.device_ms) << to_string(s);
-    EXPECT_DOUBLE_EQ(a.comm_ms, b.comm_ms) << to_string(s);
-    EXPECT_DOUBLE_EQ(a.total_ms, b.total_ms) << to_string(s);
-    // All four pricings collapse to the one flat synchronous number.
-    EXPECT_DOUBLE_EQ(b.flat_sync_ms, b.total_ms) << to_string(s);
-    EXPECT_DOUBLE_EQ(b.flat_overlap_ms, b.total_ms) << to_string(s);
-    EXPECT_DOUBLE_EQ(b.agg_sync_ms, b.total_ms) << to_string(s);
-    EXPECT_DOUBLE_EQ(b.agg_overlap_ms, b.total_ms) << to_string(s);
-    EXPECT_EQ(b.intra_exchange, simt::TransferStats{}) << to_string(s);
-    EXPECT_EQ(b.inter_exchange, simt::TransferStats{}) << to_string(s);
+TEST(ClusterRunner, SingleHostCommMatchesFlatOracle) {
+  // On one host the runner's scatter, reduce and comm time are the flat
+  // model's, for every strategy; the reported total is the overlapped
+  // pipeline, which never loses to the synchronous sum.
+  framework::Engine engine(small_config());
+  const auto graph = engine.prepare("As-Caida");
+  const simt::InterconnectSpec link = simt::InterconnectSpec::nvlink();
+  for (const auto s : all_partition_strategies()) {
+    for (const std::uint32_t n : {2u, 4u, 8u}) {
+      MultiDeviceRunner runner(engine,
+                               {simt::ClusterSpec::single_host(n, link), s});
+      const MultiRunResult r = runner.run("Polak", graph);
+      const Partitioning parts =
+          Partitioner(s, n, engine.config().seed).partition(graph->dag);
+      const simt::TransferStats scatter = flat_scatter(parts, link);
+      const simt::TransferStats reduce = flat_all_reduce(n, link);
+      EXPECT_EQ(r.hosts, 1u);
+      EXPECT_TRUE(r.valid) << to_string(s) << " x" << n;
+      EXPECT_EQ(r.ghost_exchange, scatter) << to_string(s) << " x" << n;
+      EXPECT_EQ(r.count_reduce, reduce) << to_string(s) << " x" << n;
+      EXPECT_EQ(r.comm_ms, scatter.time_ms + reduce.time_ms)
+          << to_string(s) << " x" << n;
+      EXPECT_EQ(r.agg_sync_ms, r.device_ms + r.comm_ms)
+          << to_string(s) << " x" << n;
+      EXPECT_EQ(r.total_ms, r.agg_overlap_ms) << to_string(s) << " x" << n;
+      EXPECT_LE(r.total_ms, r.agg_sync_ms) << to_string(s) << " x" << n;
+      EXPECT_EQ(r.intra_exchange, r.ghost_exchange) << to_string(s);
+      EXPECT_EQ(r.inter_exchange, simt::TransferStats{}) << to_string(s);
+    }
   }
 }
 
@@ -128,52 +180,28 @@ TEST(ClusterRunner, PricesAllFourCombosInOrder) {
   // Overlapped shards still finish no earlier than compute alone.
   EXPECT_GE(r.agg_overlap_ms, r.device_ms);
 
-  // The configured combination (defaults: aggregate + overlap) is what
-  // total_ms reports.
+  // total_ms reports the full pipeline.
   EXPECT_DOUBLE_EQ(r.total_ms, r.agg_overlap_ms);
-}
-
-TEST(ClusterRunner, TotalFollowsTheConfiguredComboFlags) {
-  framework::Engine engine(small_config());
-  const auto graph = engine.prepare("As-Caida");
-  const struct {
-    bool aggregate, overlap;
-    double MultiRunResult::* field;
-  } combos[] = {
-      {false, false, &MultiRunResult::flat_sync_ms},
-      {false, true, &MultiRunResult::flat_overlap_ms},
-      {true, false, &MultiRunResult::agg_sync_ms},
-      {true, true, &MultiRunResult::agg_overlap_ms},
-  };
-  for (const auto& c : combos) {
-    MultiRunConfig cfg = cluster_config(PartitionStrategy::kHostAware,
-                                        simt::InterconnectSpec::eth10g());
-    cfg.aggregate = c.aggregate;
-    cfg.overlap = c.overlap;
-    MultiDeviceRunner runner(engine, cfg);
-    const MultiRunResult r = runner.run("Polak", graph);
-    EXPECT_DOUBLE_EQ(r.total_ms, r.*(c.field))
-        << "aggregate=" << c.aggregate << " overlap=" << c.overlap;
-  }
 }
 
 TEST(ClusterRunner, AggregationShrinksMessagesNotBytes) {
   framework::Engine engine(small_config());
   const auto graph = engine.prepare("As-Caida");
-  MultiRunConfig flat = cluster_config(PartitionStrategy::kHostAware,
-                                       simt::InterconnectSpec::eth10g());
-  flat.aggregate = false;
-  MultiRunConfig agg = flat;
-  agg.aggregate = true;
-  const MultiRunResult rf =
-      MultiDeviceRunner(engine, flat).run("Polak", graph);
-  const MultiRunResult ra = MultiDeviceRunner(engine, agg).run("Polak", graph);
+  const MultiRunResult r =
+      MultiDeviceRunner(engine,
+                        cluster_config(PartitionStrategy::kHostAware,
+                                       simt::InterconnectSpec::eth10g()))
+          .run("Polak", graph);
 
-  // Buffering coalesces per-row updates into bounded flushes: same bytes on
-  // the wire, far fewer messages to pay latency on.
-  EXPECT_EQ(ra.ghost_exchange.bytes, rf.ghost_exchange.bytes);
-  EXPECT_LT(ra.ghost_exchange.messages, rf.ghost_exchange.messages);
-  EXPECT_LT(ra.ghost_exchange.time_ms, rf.ghost_exchange.time_ms);
+  // Buffering coalesces per-row updates into bounded flushes: the exchange
+  // carries every ghost row's bytes (4 per entry + an 8-byte header) in far
+  // fewer messages than the one-per-row flat discipline's ghost_vertices,
+  // so the buffered synchronous time beats the flat one.
+  EXPECT_EQ(r.ghost_exchange.bytes,
+            r.partition.ghost_entries * 4 + r.partition.ghost_vertices * 8);
+  EXPECT_LT(r.ghost_exchange.messages, r.partition.ghost_vertices);
+  EXPECT_LT(r.agg_sync_ms, r.flat_sync_ms);
+  EXPECT_LT(r.agg_overlap_ms, r.flat_overlap_ms);
 }
 
 TEST(ClusterRunner, SplitsExchangeByLinkLevel) {

@@ -31,26 +31,44 @@ TEST(InterconnectSpec, TransferTimeIsLatencyPlusBandwidthTerm) {
   EXPECT_DOUBLE_EQ(s.transfer_ms(0), 0.005);
 }
 
+/// An N x N traffic matrix of zeros.
+std::vector<std::vector<std::uint64_t>> zeros(std::uint32_t n) {
+  return std::vector<std::vector<std::uint64_t>>(
+      n, std::vector<std::uint64_t>(n, 0));
+}
+
 TEST(Interconnect, ScatterSumsTrafficAndTakesSlowestDevice) {
   InterconnectSpec s;
   s.peer_bandwidth_gbps = 1.0;  // 1 GB/s => 1 byte = 1e-6 ms
   s.latency_us = 1.0;           // 1 message = 1e-3 ms
-  const Interconnect net(s, 3);
-  const TransferStats t = net.scatter({1'000'000, 2'000'000, 0}, {1, 2, 0});
-  EXPECT_EQ(t.bytes, 3'000'000u);
-  EXPECT_EQ(t.messages, 3u);
+  const ClusterInterconnect net(ClusterSpec::single_host(3, s), 3);
+  // Device 0 receives 1 MB from one owner; device 1 receives 1 MB from each
+  // of two owners; device 2 receives nothing.
+  auto bytes = zeros(3);
+  auto rows = zeros(3);
+  bytes[0][1] = 1'000'000;
+  bytes[1][0] = 1'000'000;
+  bytes[1][2] = 1'000'000;
+  rows[0][1] = rows[1][0] = rows[1][2] = 1;
+  const ScatterModel m = net.scatter(bytes, rows, /*aggregate=*/true);
+  EXPECT_EQ(m.total.bytes, 3'000'000u);
+  EXPECT_EQ(m.total.messages, 3u);
   // Device 1 is slowest: 2 messages (0.002 ms) + 2 MB (2 ms).
-  EXPECT_DOUBLE_EQ(t.time_ms, 2.002);
+  EXPECT_DOUBLE_EQ(m.total.time_ms, 2.002);
+  // One host: everything is intra traffic.
+  EXPECT_EQ(m.intra, m.total);
+  EXPECT_EQ(m.inter, TransferStats{});
+  EXPECT_DOUBLE_EQ(m.per_device_ms[2], 0.0);
 }
 
 TEST(Interconnect, ScatterRejectsWrongSizedVectors) {
-  const Interconnect net(InterconnectSpec::nvlink(), 4);
-  EXPECT_THROW(net.scatter({1, 2, 3}, {1, 1, 1, 1}), std::invalid_argument);
-  EXPECT_THROW(net.scatter({1, 2, 3, 4}, {1}), std::invalid_argument);
+  const ClusterInterconnect net(ClusterSpec::single_host(4), 4);
+  EXPECT_THROW(net.scatter(zeros(3), zeros(4), true), std::invalid_argument);
+  EXPECT_THROW(net.scatter(zeros(4), zeros(1), true), std::invalid_argument);
 }
 
 TEST(Interconnect, AllReduceIsFreeOnOneDevice) {
-  const Interconnect net(InterconnectSpec::nvlink(), 1);
+  const ClusterInterconnect net(ClusterSpec::single_host(1), 1);
   EXPECT_EQ(net.all_reduce(8), TransferStats{});
 }
 
@@ -60,14 +78,14 @@ TEST(Interconnect, AllReduceModelsBinomialTree) {
   s.latency_us = 1.0;
   // N = 4: reduce + broadcast move 2*(N-1) payloads; critical path is
   // 2*ceil(log2 4) = 4 steps of one payload each.
-  const Interconnect net4(s, 4);
+  const ClusterInterconnect net4(ClusterSpec::single_host(4, s), 4);
   const TransferStats t4 = net4.all_reduce(1000);
   EXPECT_EQ(t4.bytes, 6000u);
   EXPECT_EQ(t4.messages, 6u);
   EXPECT_DOUBLE_EQ(t4.time_ms, 4 * (1e-3 + 1000 * 1e-6));
 
   // N = 8 adds one more level: 6 steps, 14 payload moves.
-  const Interconnect net8(s, 8);
+  const ClusterInterconnect net8(ClusterSpec::single_host(8, s), 8);
   const TransferStats t8 = net8.all_reduce(1000);
   EXPECT_EQ(t8.bytes, 14'000u);
   EXPECT_EQ(t8.messages, 14u);
@@ -207,12 +225,17 @@ TEST(ClusterInterconnect, ScatterValidatesMatricesAndBuffer) {
 }
 
 TEST(ClusterInterconnect, SingleHostAllReduceMatchesFlatModel) {
-  // hosts == 1 must reproduce the flat Interconnect's binomial tree exactly
-  // — the dist runner's single-host bit-identity rests on this degeneracy.
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    const Interconnect flat(InterconnectSpec::nvlink(), n);
-    const ClusterInterconnect cluster(ClusterSpec::single_host(n), n);
-    EXPECT_EQ(cluster.all_reduce(8), flat.all_reduce(8)) << n;
+  // hosts == 1 must reproduce the flat binomial reduce + broadcast tree
+  // exactly: 2*(N-1) payload moves over 2*ceil(log2 N) sequential steps —
+  // the dist runner's single-host numbers rest on this degeneracy.
+  const InterconnectSpec link = InterconnectSpec::nvlink();
+  for (const std::uint32_t n : {2u, 3u, 4u, 8u}) {
+    std::uint32_t steps = 0;
+    for (std::uint32_t span = 1; span < n; span <<= 1) ++steps;
+    const TransferStats flat{2ull * (n - 1) * 8, 2ull * (n - 1),
+                             2.0 * steps * link.transfer_ms(8)};
+    const ClusterInterconnect cluster(ClusterSpec::single_host(n, link), n);
+    EXPECT_EQ(cluster.all_reduce(8), flat) << n;
   }
 }
 

@@ -26,7 +26,7 @@ TEST(MultiDeviceGrid, EveryAlgorithmEveryStrategyMatchesTheCpuReference) {
     for (const auto strategy : all_partition_strategies()) {
       for (const std::uint32_t n : device_counts) {
         MultiDeviceRunner runner(
-            engine, {n, strategy, simt::InterconnectSpec::nvlink()});
+            engine, {simt::ClusterSpec::single_host(n), strategy});
         for (const auto& entry : framework::extended_algorithms()) {
           const auto algo = entry.make();
           const MultiRunResult multi = runner.run(*algo, graph);

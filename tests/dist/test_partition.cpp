@@ -161,12 +161,6 @@ TEST(Partitioner, GhostAccountingMatchesRowBytes) {
                 shard.ghost_entries * 4 + shard.ghost_vertices * 8);
       // Nothing is "received" from the shard itself.
       EXPECT_EQ(shard.recv_bytes_from[shard.device], 0u);
-      EXPECT_EQ(shard.recv_messages_from[shard.device], 0u);
-      // At most one bulk message per contributing peer.
-      for (std::uint32_t o = 0; o < parts.report.num_devices; ++o) {
-        EXPECT_EQ(shard.recv_messages_from[o],
-                  shard.recv_bytes_from[o] > 0 ? 1u : 0u);
-      }
       ghost_vertices += shard.ghost_vertices;
       ghost_entries += shard.ghost_entries;
     }

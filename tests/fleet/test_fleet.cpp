@@ -152,7 +152,7 @@ TEST(FleetPlacement, TinyKernelsStaySingle) {
   EXPECT_EQ(reply.placement, "single");
 }
 
-// --- Placer: load-aware scoring and cluster pricing --------------------------
+// --- Placer: cluster pricing and fleet topology -----------------------------
 
 /// Stats dense enough that sharding models as a clear win on a free link
 /// (the shape of Web-BerkStan at the default cap).
@@ -167,62 +167,28 @@ graph::GraphStats dense_stats() {
   return s;
 }
 
-/// A placer config where every width is admissible: free link, no bars.
-Placer::Config open_placer(std::uint32_t devices) {
+/// A placer config where every width is admissible: `hosts` hosts sharing
+/// `devices` devices, all on a free link, no bars.
+Placer::Config open_placer(std::uint32_t devices, std::uint32_t hosts = 1) {
   Placer::Config pc;
-  pc.devices = devices;
+  pc.cluster.hosts = hosts;
+  pc.cluster.host.devices = devices / hosts;
+  pc.cluster.host.intra = free_link();
   pc.shard_min_kernel_ms = 0.0;
   pc.min_speedup = 1.0;
-  pc.interconnect = free_link();
   return pc;
 }
 
-TEST(PlacerConfigTest, HostsMustDivideDevices) {
-  serve::Selector sel;
-  Placer::Config pc;
-  pc.devices = 4;
-  pc.hosts = 3;
-  EXPECT_THROW(Placer(sel, pc), std::invalid_argument);
-  pc.hosts = 0;
-  EXPECT_THROW(Placer(sel, pc), std::invalid_argument);
-  pc.hosts = 2;
-  EXPECT_NO_THROW(Placer(sel, pc));
-}
-
-TEST(PlacerLoad, IdleFleetReproducesThePureDecision) {
-  // The load-aware overload with no queued work is the determinism-contract
-  // decide(): same placement, same modeled cost, bit for bit.
-  serve::Selector sel;
-  Placer placer(sel, open_placer(8));
-  const auto ranked = sel.score(dense_stats());
-  const auto& best = ranked.front();
-  const Placement pure = placer.decide(best.algorithm, best.cost, dense_stats());
-  const Placement zeros = placer.decide(best.algorithm, best.cost,
-                                        dense_stats(),
-                                        std::vector<double>(8, 0.0));
-  EXPECT_TRUE(pure.sharded);  // free link, no bars: going wide always models
-  EXPECT_EQ(pure.describe(), zeros.describe());
-  EXPECT_EQ(pure.shards, zeros.shards);
-  EXPECT_DOUBLE_EQ(pure.cost.total_ms, zeros.cost.total_ms);
-}
-
-TEST(PlacerLoad, SkewedQueuesPullThePlacementOntoIdleDevices) {
-  // Seven devices buried under queued work, one idle: a width-k shard waits
-  // for the k-th least-busy device, so every sharded width pays the mountain
-  // and the single-device placement (idle device, zero wait) wins — the
-  // decision the pure function would never make here.
-  serve::Selector sel;
-  Placer placer(sel, open_placer(8));
-  const auto ranked = sel.score(dense_stats());
-  const auto& best = ranked.front();
-  std::vector<double> busy(8, 1e9);
-  busy[0] = 0.0;
-  const Placement loaded =
-      placer.decide(best.algorithm, best.cost, dense_stats(), busy);
-  EXPECT_FALSE(loaded.sharded);
-  EXPECT_EQ(loaded.describe(), "single");
-  // Admissibility stayed load-free: the same call on an idle fleet shards.
-  EXPECT_TRUE(placer.decide(best.algorithm, best.cost, dense_stats()).sharded);
+TEST(FleetConfigTest, HostsMustDivideDevices) {
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  fc.devices = 4;
+  fc.hosts = 3;
+  EXPECT_THROW(Fleet(engine, fc), std::invalid_argument);
+  fc.hosts = 0;
+  EXPECT_THROW(Fleet(engine, fc), std::invalid_argument);
+  fc.hosts = 2;
+  EXPECT_NO_THROW(Fleet(engine, fc));
 }
 
 TEST(PlacerCluster, SlowInterHostLinkKeepsPlacementsWithinAHost) {
@@ -238,11 +204,10 @@ TEST(PlacerCluster, SlowInterHostLinkKeepsPlacementsWithinAHost) {
   // Same fleet split 2 x 4 behind a dreadful network: widths that fit one
   // host still price on the free intra link, width 8 pays the inter link —
   // the placer stops at the host boundary.
-  Placer::Config cc = open_placer(8);
-  cc.hosts = 2;
-  cc.inter.name = "test-molasses";
-  cc.inter.peer_bandwidth_gbps = 1e-6;
-  cc.inter.latency_us = 1e6;
+  Placer::Config cc = open_placer(8, 2);
+  cc.cluster.inter.name = "test-molasses";
+  cc.cluster.inter.peer_bandwidth_gbps = 1e-6;
+  cc.cluster.inter.latency_us = 1e6;
   Placer cluster_placer(sel, cc);
   const Placement within = cluster_placer.decide(best.algorithm, best.cost,
                                                  dense_stats());
@@ -256,9 +221,8 @@ TEST(PlacerCluster, FastInterLinkGoesWideAndLabelsTheHosts) {
   serve::Selector sel;
   const auto ranked = sel.score(dense_stats());
   const auto& best = ranked.front();
-  Placer::Config cc = open_placer(8);
-  cc.hosts = 2;
-  cc.inter = free_link();  // crossing hosts costs nothing
+  Placer::Config cc = open_placer(8, 2);
+  cc.cluster.inter = free_link();  // crossing hosts costs nothing
   Placer placer(sel, cc);
   const Placement wide = placer.decide(best.algorithm, best.cost,
                                        dense_stats());
@@ -269,9 +233,8 @@ TEST(PlacerCluster, FastInterLinkGoesWideAndLabelsTheHosts) {
 }
 
 TEST(FleetPlacement, LoadAwareDefaultsOffAndOffTableIsLoadBlind) {
-  EXPECT_FALSE(Fleet::Config{}.load_aware);
-  // Load-blind fleets latch the same placement table no matter how much (or
-  // how unevenly) traffic preceded each decision — the contract the CI
+  // Fleets latch the same placement table no matter how much (or how
+  // unevenly) traffic preceded each decision — the contract the CI
   // placement pins rely on. Run the same datasets through two fleets with
   // very different traffic histories and compare tables.
   const std::vector<std::string> datasets = {"As-Caida", "Email-EuAll",

@@ -276,21 +276,5 @@ TEST(StreamServiceCommitMode, HugeBatchesRecountSmallBatchesDelta) {
   EXPECT_EQ(after.triangles, huge.triangles);
 }
 
-TEST(StreamServiceCommitMode, DisabledModelAlwaysTakesTheDelta) {
-  framework::Engine engine(small_engine());
-  QueryService::Config cfg;
-  cfg.mutation_model = false;
-  QueryService service(engine, cfg);
-  const auto v = engine.prepare("As-Caida")->stats.num_vertices;
-  QueryRequest bulk;
-  bulk.dataset = "As-Caida";
-  for (graph::VertexId i = 0; i < 4'000; ++i) {
-    bulk.insert_edges.push_back({v + 2 + i, v + 2 + i + 1});
-  }
-  const auto reply = service.submit(std::move(bulk)).get();
-  ASSERT_EQ(reply.status, QueryStatus::kOk);
-  EXPECT_EQ(reply.algorithm, "stream-delta");
-}
-
 }  // namespace
 }  // namespace tcgpu::serve
