@@ -4,7 +4,8 @@
 // the peak-RSS of each path (the old path materializes raw + cleaned +
 // doubled undirected CSR; the new one consumes raw in place), plus the
 // compressed-vs-raw adjacency crossover: bytes and simulated kernel time of
-// the varint CMerge kernel against raw MergePath per dataset.
+// the varint CMerge kernel against Polak, the raw loop it decodes over, per
+// dataset.
 //
 // Emits JSON so the perf trajectory is tracked across PRs; --check compares
 // edges/sec against a checked-in baseline and fails on >25% regression (the
@@ -113,8 +114,10 @@ graph::Csr build_undirected_csr(const graph::Coo& clean) {
 /// The full legacy prepare: clean -> undirected CSR -> stats -> orient ->
 /// DAG stats. Identical composition to the pre-overhaul framework runner.
 graph::Csr prepare(const graph::Coo& raw, graph::GraphStats& stats) {
-  const graph::Coo clean = clean_edges(raw);
-  const graph::Csr undirected = build_undirected_csr(clean);
+  // Qualified: graph::clean_edges / build_undirected_csr are the parallel
+  // pipeline's and would otherwise be found by argument-dependent lookup.
+  const graph::Coo clean = serial_baseline::clean_edges(raw);
+  const graph::Csr undirected = serial_baseline::build_undirected_csr(clean);
   stats = graph::compute_stats(undirected);
   auto oriented =
       graph::orient(undirected, graph::OrientationPolicy::kByDegree);
@@ -172,7 +175,7 @@ struct CrossoverRow {
   std::string dataset;
   std::uint64_t raw_bytes = 0;         ///< 4 B/neighbor adjacency
   std::uint64_t compressed_bytes = 0;  ///< varint delta stream
-  double mergepath_ms = 0.0;           ///< simulated kernel time, raw CSR
+  double polak_ms = 0.0;               ///< simulated kernel time, raw CSR
   double cmerge_ms = 0.0;              ///< simulated kernel time, compressed
 };
 
@@ -198,12 +201,12 @@ std::string to_json(const std::vector<PrepareResult>& prepares,
     char buf[320];
     std::snprintf(buf, sizeof buf,
                   "    {\"dataset\": \"%s\", \"raw_bytes\": %llu, "
-                  "\"compressed_bytes\": %llu, \"mergepath_ms\": %.4f, "
+                  "\"compressed_bytes\": %llu, \"polak_ms\": %.4f, "
                   "\"cmerge_ms\": %.4f}%s\n",
                   c.dataset.c_str(),
                   static_cast<unsigned long long>(c.raw_bytes),
                   static_cast<unsigned long long>(c.compressed_bytes),
-                  c.mergepath_ms, c.cmerge_ms,
+                  c.polak_ms, c.cmerge_ms,
                   i + 1 < crossover.size() ? "," : "");
     os << buf;
   }
@@ -306,7 +309,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::string>{"As-Caida", "Com-Orkut"}
             : std::vector<std::string>{"As-Caida", "Soc-Pokec", "Com-Orkut",
                                        "Com-Friendster"};
-  const auto mergepath = framework::make_algorithm("MergePath");
+  const auto polak = framework::make_algorithm("Polak");
   const auto cmerge = framework::make_algorithm("CMerge");
   const simt::GpuSpec gpu = simt::GpuSpec::v100();
   std::vector<CrossoverRow> crossover;
@@ -319,13 +322,13 @@ int main(int argc, char** argv) {
     row.raw_bytes = static_cast<std::uint64_t>(pg.dag.num_edges()) * 4;
     row.compressed_bytes =
         graph::CompressedCsr::compress(pg.dag).adjacency_bytes();
-    const auto mp = framework::run_algorithm(*mergepath, pg, gpu);
+    const auto pk = framework::run_algorithm(*polak, pg, gpu);
     const auto cm = framework::run_algorithm(*cmerge, pg, gpu);
-    if (!mp.valid || !cm.valid) {
+    if (!pk.valid || !cm.valid) {
       std::cerr << "kernel validation failed on " << name << '\n';
       return 1;
     }
-    row.mergepath_ms = mp.result.total.time_ms;
+    row.polak_ms = pk.result.total.time_ms;
     row.cmerge_ms = cm.result.total.time_ms;
     crossover.push_back(row);
   }
@@ -340,7 +343,7 @@ int main(int argc, char** argv) {
   std::printf("speedup %.2fx  peak-RSS drop %.0f%%  (threads=%d)\n", speedup,
               rss_drop * 100.0, threads);
   std::printf("%-16s %12s %12s %8s %14s %12s\n", "dataset", "raw_B", "cmp_B",
-              "ratio", "mergepath_ms", "cmerge_ms");
+              "ratio", "polak_ms", "cmerge_ms");
   for (const auto& c : crossover) {
     std::printf("%-16s %12llu %12llu %8.2f %14.4f %12.4f\n", c.dataset.c_str(),
                 static_cast<unsigned long long>(c.raw_bytes),
@@ -348,7 +351,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(c.raw_bytes) /
                     static_cast<double>(std::max<std::uint64_t>(
                         1, c.compressed_bytes)),
-                c.mergepath_ms, c.cmerge_ms);
+                c.polak_ms, c.cmerge_ms);
   }
 
   const std::string json = to_json(prepares, crossover, threads);

@@ -16,8 +16,8 @@
 
 #include "framework/engine.hpp"
 #include "gen/rmat.hpp"
-#include "graph/builder.hpp"
 #include "graph/io.hpp"
+#include "graph/prepare.hpp"
 
 namespace {
 

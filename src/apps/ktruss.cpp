@@ -1,7 +1,7 @@
 #include <algorithm>
 #include "apps/ktruss.hpp"
 
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 #include "simt/device.hpp"
 #include "tc/support.hpp"
 

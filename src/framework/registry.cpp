@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "tc/bfsla.hpp"
 #include "tc/bisson.hpp"
 #include "tc/bsr.hpp"
 #include "tc/cmerge.hpp"
@@ -13,20 +12,17 @@
 #include "tc/grouptc_hash.hpp"
 #include "tc/hindex.hpp"
 #include "tc/hu.hpp"
-#include "tc/mergepath.hpp"
 #include "tc/polak.hpp"
 #include "tc/tricore.hpp"
 #include "tc/trust.hpp"
 
 namespace {
 
-/// The kernels composed directly from tc/intersect/ policies: the three
-/// library kernels plus the two compressed-CSR decoders (varint.hpp).
+/// The kernels composed directly from tc/intersect/ policies: BSR plus the
+/// two compressed-CSR decoders (varint.hpp).
 std::vector<tcgpu::framework::AlgorithmEntry> library_algorithms() {
   return {
-      {"MergePath", [] { return std::make_unique<tcgpu::tc::MergePathCounter>(); }},
       {"BSR", [] { return std::make_unique<tcgpu::tc::BsrCounter>(); }},
-      {"BFS-LA", [] { return std::make_unique<tcgpu::tc::BfsLaCounter>(); }},
       {"CMerge", [] { return std::make_unique<tcgpu::tc::CMergeCounter>(); }},
       {"CStage", [] { return std::make_unique<tcgpu::tc::CStageCounter>(); }},
   };

@@ -26,14 +26,13 @@ const std::vector<AlgorithmEntry>& headline_algorithms();
 
 /// Everything in all_algorithms() plus this repo's extensions beyond the
 /// paper: GroupTC-H (the hash-probe variant the paper's §VI names as future
-/// work) and the five kernels built on the tc/intersect/ library —
-/// MergePath, BSR, BFS-LA, plus the compressed-adjacency pair CMerge and
-/// CStage. The figure benches stick to the paper's set; tests and the
-/// extension bench cover these too.
+/// work) and the three kernels built on the tc/intersect/ library — BSR
+/// plus the compressed-adjacency pair CMerge and CStage. The figure benches
+/// stick to the paper's set; tests and the extension bench cover these too.
 const std::vector<AlgorithmEntry>& extended_algorithms();
 
-/// The serving/selection pool: the nine paper kernels plus the five
-/// intersection-library kernels — the 14 the serve::Selector carries cost
+/// The serving/selection pool: the nine paper kernels plus the three
+/// intersection-library kernels — the 12 the serve::Selector carries cost
 /// models for. Excludes GroupTC-H, which is GroupTC's probe ablation rather
 /// than a distinct taxonomy cell.
 const std::vector<AlgorithmEntry>& pool_algorithms();

@@ -1,5 +1,5 @@
 // Edge-list (COO) graph container — the interchange format every loader and
-// generator produces and the builder consumes.
+// generator produces and graph::clean_edges (graph/prepare.hpp) consumes.
 #pragma once
 
 #include "graph/types.hpp"
@@ -7,7 +7,7 @@
 namespace tcgpu::graph {
 
 /// An edge list over vertices [0, num_vertices). May contain self-loops,
-/// duplicates and isolated vertices until cleaned by the builder.
+/// duplicates and isolated vertices until cleaned by clean_edges.
 struct Coo {
   VertexId num_vertices = 0;
   std::vector<Edge> edges;

@@ -1,13 +1,15 @@
 // Compressed sparse row adjacency — the format all triangle-counting
 // kernels consume. Neighbor lists are sorted ascending (the merge/binary
-// search intersection methods require it; the builder guarantees it).
+// search intersection methods require it; the graph/prepare.hpp builders
+// guarantee it).
 //
-// CompressedCsr is the capacity variant: per-row (base, delta-stream)
+// CompressedCsr is the compact variant: per-row (base, delta-stream)
 // layout where the first neighbor is stored raw and the remaining sorted
 // neighbors become LEB128 varints of (gap - 1). Social-network rows
-// average ~1.5 bytes per neighbor against the raw 4, which is what lets
-// the largest prepared graphs fit the device budget; the CMerge/CStage
-// kernels decode it on the fly inside the intersection loop.
+// average ~1.5 bytes per neighbor against the raw 4. The CMerge/CStage
+// kernels decode it on the fly inside the intersection loop, either from
+// DeviceGraph::upload_compressed or from a copy they stage themselves when
+// handed a raw image. The engine and the fleet upload raw images only.
 #pragma once
 
 #include <cstdint>

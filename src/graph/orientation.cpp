@@ -4,7 +4,7 @@
 #include <numeric>
 #include <random>
 
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 
 namespace tcgpu::graph {
 

@@ -34,7 +34,8 @@ struct OrientedGraph {
   std::vector<VertexId> new_to_old;   ///< relabeling map (size = V)
 };
 
-/// Orients a simple undirected graph (symmetric CSR from the builder).
+/// Orients a simple undirected graph (symmetric CSR from
+/// build_undirected_csr).
 OrientedGraph orient(const Csr& undirected, OrientationPolicy policy,
                      std::uint64_t seed = 0);
 

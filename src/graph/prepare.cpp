@@ -159,7 +159,7 @@ Csr assemble_csr(VertexId num_vertices, std::uint64_t num_directed,
 
 }  // namespace
 
-Coo clean_edges_inplace(Coo&& raw) {
+Coo clean_edges(Coo raw) {
   const std::size_t n_raw = raw.edges.size();
   const VertexId V = raw.num_vertices;
   const int vbits = vertex_bits(V);
@@ -246,7 +246,7 @@ Coo clean_edges_inplace(Coo&& raw) {
   return out;
 }
 
-Csr build_undirected_csr_parallel(const Coo& clean) {
+Csr build_undirected_csr(const Coo& clean) {
   const std::uint64_t directed = 2 * static_cast<std::uint64_t>(clean.edges.size());
   return assemble_csr(
       clean.num_vertices, directed,
@@ -273,8 +273,7 @@ Csr build_undirected_csr_parallel(const Coo& clean) {
       });
 }
 
-Csr build_directed_csr_parallel(VertexId num_vertices,
-                                const std::vector<Edge>& edges) {
+Csr build_directed_csr(VertexId num_vertices, const std::vector<Edge>& edges) {
   return assemble_csr(
       num_vertices, edges.size(),
       [&](bool count_phase, EdgeIndex* slots, VertexId* col) {
@@ -297,7 +296,7 @@ Csr build_directed_csr_parallel(VertexId num_vertices,
 
 PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
                         std::uint64_t seed) {
-  Coo clean = clean_edges_inplace(std::move(raw));
+  Coo clean = clean_edges(std::move(raw));
   const VertexId V = clean.num_vertices;
   const std::uint64_t E = clean.edges.size();
   if (E > 0xFFFFFFFFull) {
@@ -321,8 +320,8 @@ PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
 
   if (policy == OrientationPolicy::kByCore) {
     // The peeling order needs full adjacency; build it (in parallel) and
-    // reuse the legacy orient. Everything downstream is shared.
-    const Csr undirected = build_undirected_csr_parallel(clean);
+    // reuse graph::orient. Everything downstream is shared.
+    const Csr undirected = build_undirected_csr(clean);
     auto oriented = orient(undirected, policy, seed);
     out.dag = std::move(oriented.dag);
     out.new_to_old = std::move(oriented.new_to_old);

@@ -1,22 +1,26 @@
-// Parallel prepare pipeline (the billion-edge capacity path).
+// Graph cleaning and CSR assembly — the paper's §IV preparation pipeline
+// ("removing vertices that are not connected to any edges, eliminating
+// self-loop edges, and resolving duplicate edges within the graph"), run
+// in parallel for the billion-edge capacity path.
 //
-// The legacy builder route — clean_edges (std::sort + unique) →
-// build_undirected_csr → compute_stats → orient → fold_dag_stats — is
-// serial and materializes the full symmetric CSR just to read degrees and
-// emit oriented edges. At paper scale (Com-Friendster, 1.8 B raw edges)
-// that is both the wall-clock and the memory ceiling of every cache-miss
-// query. This header is the fused replacement:
+// The serial route — std::sort + unique clean → undirected CSR →
+// compute_stats → orient → fold_dag_stats — materializes the full
+// symmetric CSR just to read degrees and emit oriented edges. At paper
+// scale (Com-Friendster, 1.8 B raw edges) that is both the wall-clock and
+// the memory ceiling of every cache-miss query. This header is the fused
+// replacement:
 //
-//   * clean_edges_inplace — OMP-partitioned LSD radix sort of the
-//     canonicalized (min,max)-packed edge keys, parallel merge-dedup, and
-//     id compaction. Consumes the raw edge storage so the peak working set
-//     is two key arrays, not raw + cleaned + pair-doubled copies.
+//   * clean_edges — OMP-partitioned LSD radix sort of the canonicalized
+//     (min,max)-packed edge keys, parallel merge-dedup, and id
+//     compaction. Takes the raw edges by value and releases them once the
+//     keys exist, so a caller that moves in keeps the peak working set at
+//     two key arrays, not raw + cleaned + pair-doubled copies.
 //   * prepare_dag — degree-ordered-directed-graph (DODG) orientation built
 //     straight from the cleaned edge list + rank array, *without* ever
 //     materializing the undirected CSR (kByCore still needs it for the
-//     peeling order and falls back to the legacy orient). Stats come from
+//     peeling order and falls back to graph::orient). Stats come from
 //     degree histograms (graph/stats.hpp) and are bit-identical to the
-//     compute_stats + fold_dag_stats values on the legacy path.
+//     compute_stats + fold_dag_stats values of the serial route.
 //
 // Equivalence invariants (tested in tests/graph/test_prepare.cpp and
 // pinned end-to-end by the fig11/12/13 byte-identity gate):
@@ -47,29 +51,33 @@ struct PreparedDag {
   GraphStats stats;                  ///< undirected + DAG quantities
 };
 
-/// Parallel clean: drops self-loops, merges duplicate/reverse-duplicate
-/// edges, compacts vertex ids. Identical output to builder's clean_edges,
-/// but radix-sorted in parallel and destructive — `raw.edges` is released
-/// as soon as the packed keys exist, so peak RSS is ~2 key arrays.
+/// Canonicalizes a raw edge list into a simple undirected graph: drops
+/// self-loops, merges duplicate/reverse-duplicate edges, removes isolated
+/// vertices and compacts vertex ids (order-preserving). Each surviving
+/// undirected edge appears exactly once, as (min(u,v), max(u,v)), in
+/// lexicographic order. `raw.edges` is released as soon as the packed keys
+/// exist: pass an rvalue to free the caller's storage early (peak RSS ~2
+/// key arrays), an lvalue to keep it (one copy).
 /// Throws std::invalid_argument on out-of-range vertex ids.
-Coo clean_edges_inplace(Coo&& raw);
+Coo clean_edges(Coo raw);
 
 /// The fused pipeline: clean → histogram stats → orient (DODG direct from
 /// the edge list for kByDegree/kById/kRandom; undirected-CSR fallback for
-/// kByCore) → fold DAG stats. Bit-identical to the legacy
+/// kByCore) → fold DAG stats. Bit-identical to the serial
 /// clean/build/compute/orient/fold composition for every policy.
 /// Throws std::length_error if the cleaned edge count exceeds the kernels'
 /// 32-bit device indices.
 PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
                         std::uint64_t seed = 0);
 
-/// Parallel twin of builder's build_undirected_csr (atomic degree count,
-/// prefix scatter, per-row sorts). Same output, multi-threaded.
-Csr build_undirected_csr_parallel(const Coo& clean);
+/// Builds the symmetric (both-direction) CSR of a cleaned edge list
+/// (atomic degree count, prefix scatter, per-row sorts). Neighbor lists
+/// come out sorted ascending and duplicate-free.
+Csr build_undirected_csr(const Coo& clean);
 
-/// Parallel twin of builder's build_directed_csr.
-Csr build_directed_csr_parallel(VertexId num_vertices,
-                                const std::vector<Edge>& edges);
+/// Builds a directed CSR containing exactly the edges given (u -> v),
+/// neighbor lists sorted ascending. Used for oriented DAGs.
+Csr build_directed_csr(VertexId num_vertices, const std::vector<Edge>& edges);
 
 /// Parallel symmetrization of an id-oriented DAG (sorted rows, u < v for
 /// every edge): row v of the result is every in-neighbor (all < v)

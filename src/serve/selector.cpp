@@ -50,7 +50,7 @@ const char* to_string(Hint h) {
 std::vector<AlgoModel> Selector::default_models() {
   using W = AlgoModel::Work;
   // Pool order: framework::pool_algorithms() — the paper's nine (Table I
-  // order) followed by the five tc/intersect/ library kernels.
+  // order) followed by the three tc/intersect/ library kernels.
   // (work_exponent, imb_exponent, hash_load, calibration) are fit against
   // the simulator's measured kernel times on the 19-dataset suite at the
   // default edge cap — bench/selector_fit reports the residuals and
@@ -68,15 +68,13 @@ std::vector<AlgoModel> Selector::default_models() {
       {"H-INDEX", W::kHash, 1, 0.800, 0.1, 0.0, 168.80, /*fragile=*/true},
       {"TRUST", W::kHash, 1, 0.500, 0.1, 24.0, 3082.7, false},
       {"GroupTC", W::kBinarySearch, 1, 0.600, 0.4, 0.0, 359.01, false},
-      {"MergePath", W::kMergePath, 1, 0.800, 0.0, 0.0, 18.62, false},
       {"BSR", W::kBlockedBitmap, 1, 0.650, 0.1, 0.0, 361.81, false},
-      {"BFS-LA", W::kLinearAlgebra, 1, 0.500, -0.2, 0.0, 7176.9, false},
-      // The compressed-CSR decoders trade bandwidth for ALU decode work;
-      // on graphs whose raw image fits the device they lose to their raw
-      // counterparts by design (the calibrations encode the decode + serial
-      // penalty), and the serving layer only routes to them when the raw
-      // image exceeds the device budget — a capacity decision made before
-      // scoring, not a latency win the model could discover.
+      // The compressed-CSR decoders are scored on latency alone, like every
+      // other row: the model takes no resident-bytes or device-budget input,
+      // and no serving layer routes on budget. Their calibrations sit 16x
+      // and 18x above what bench/selector_fit fits (18.3 and 22.3), so the
+      // selector never picks them, even on graphs where they measure
+      // fastest. The pinned picks depend on these values.
       {"CMerge", W::kCompressedMerge, 1, 0.800, 0.8, 0.0, 290.0, false},
       {"CStage", W::kCompressedStage, 1, 0.800, 0.3, 0.0, 410.0, false},
   };
@@ -123,13 +121,6 @@ double Selector::raw_model_ms(const AlgoModel& m, const graph::GraphStats& stats
         mem *= 4.0;
       }
       break;
-    case AlgoModel::Work::kMergePath:
-      // Merge work plus the per-lane diagonal split: every edge pays 2x32
-      // binary searches of log(list length) probes before the balanced
-      // windows merge. The windows themselves make skew irrelevant (beta=0)
-      // but the split overhead is what keeps the kernel behind Polak.
-      work = s2 + edges * davg + 64.0 * edges * log2_safe(davg);
-      break;
     case AlgoModel::Work::kBlockedBitmap:
       // Merge over BSR-compressed rows: each occupied 32-vertex block is
       // one (base, word) pair, so the effective list length — and with it
@@ -137,13 +128,6 @@ double Selector::raw_model_ms(const AlgoModel& m, const graph::GraphStats& stats
       // scale (not /32) reflects partial block occupancy on the suite.
       work = (s2 + edges * davg) / std::min(32.0, 1.0 + davg / 8.0) +
              2.0 * edges;
-      break;
-    case AlgoModel::Work::kLinearAlgebra:
-      // Masked row-times-row products: every directed edge (u, v) merges
-      // N+(v) against the staged N+(u), an edge-dominated variant of the
-      // merge shape with block-cooperative latency hiding (beta < 0, like
-      // Hu's shared-cache staging).
-      work = s2 + edges * davg;
       break;
     case AlgoModel::Work::kCompressedMerge:
     case AlgoModel::Work::kCompressedStage: {

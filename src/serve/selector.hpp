@@ -107,12 +107,8 @@ struct PlacementCost {
 /// one intersection family from tc/intersect/: the first four are the
 /// paper's Table I strategies; the last three cover the library kernels
 /// whose access patterns none of the original four shapes fit —
-///   kMergePath      — per-edge diagonal partition, merge work plus a
-///                     log-cost split per lane, imbalance-free by design
 ///   kBlockedBitmap  — merge over 32x-compressed (base, word) rows, so
 ///                     effective list length shrinks as density grows
-///   kLinearAlgebra  — masked row-times-row products with a staged shared
-///                     cache, Hu-shaped but edge-dominated
 ///   kCompressedMerge — merge over varint delta streams: merge work plus an
 ///                     ALU decode surcharge that grows with the gap width
 ///                     (≈ log(V / d_avg) bits per neighbor), serial per
@@ -127,9 +123,7 @@ struct AlgoModel {
     kBinarySearch,
     kHash,
     kBitmap,
-    kMergePath,
     kBlockedBitmap,
-    kLinearAlgebra,
     kCompressedMerge,
     kCompressedStage,
   } work;
@@ -150,7 +144,7 @@ class Selector {
     bool refine = true;  ///< fold measured KernelStats into calibration
   };
 
-  /// Scores the fourteen-kernel selection pool (default_models()).
+  /// Scores the twelve-kernel selection pool (default_models()).
   Selector() : Selector(Config{}) {}
   explicit Selector(Config cfg);
   /// Custom universe (tests, restricted deployments).
@@ -209,7 +203,7 @@ class Selector {
   const std::vector<AlgoModel>& models() const { return models_; }
   const Config& config() const { return cfg_; }
 
-  /// The selection pool — the paper's nine algorithms plus the five
+  /// The selection pool — the paper's nine algorithms plus the three
   /// tc/intersect/ library kernels (framework::pool_algorithms()) — with
   /// the fitted v100 calibration table.
   static std::vector<AlgoModel> default_models();

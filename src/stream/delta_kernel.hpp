@@ -4,12 +4,11 @@
 // endpoint neighborhoods, staged (pre-op, in sequential batch order) into
 // one flat device array. One simulated thread per job merges its pair of
 // sorted lists (composing intersect::merge_collect_probed with metered
-// probes, the same primitive the BFS-LA kernel composes) and writes every
-// common neighbor out: for an insert (u,v), each surviving w is a new
-// triangle {u,v,w}; for a delete, a destroyed one. The host folds the
-// per-job counts into the global triangle delta and the matches into
-// per-edge support deltas — no full kernel rerun, work proportional to the
-// touched neighborhoods only.
+// probes) and writes every common neighbor out: for an insert (u,v), each
+// surviving w is a new triangle {u,v,w}; for a delete, a destroyed one.
+// The host folds the per-job counts into the global triangle delta and the
+// matches into per-edge support deltas — no full kernel rerun, work
+// proportional to the touched neighborhoods only.
 //
 // Determinism: one lane per job with a fixed item order, so KernelStats are
 // bit-identical across OMP host-thread counts (the simulator contract

@@ -5,12 +5,13 @@
 // loop shape with every "load col[i]" replaced by an on-the-fly LEB128
 // decode (tc/intersect/varint.hpp). Global traffic shrinks to ~one word
 // load per four stream bytes; the price is one ALU op per byte and a fully
-// serial per-thread outer loop. On graphs whose raw image fits the device
-// this loses to Polak; it exists for the capacity regime where only the
-// compressed image (DeviceGraph::upload_compressed) fits — and runs
-// unchanged on raw images by self-staging a compressed copy on the per-run
-// scratch device (the BSR pattern), which is how bench/prepare_throughput
-// measures the compressed-vs-raw crossover on one address stream.
+// serial per-thread outer loop. Which side wins depends on the graph: at
+// the default 100k-edge cap it beats Polak on As-Caida (0.0080 vs 0.0088
+// ms) and loses to it on the other 18 datasets. It counts on a compressed
+// image (DeviceGraph::upload_compressed) and runs unchanged on raw images
+// by self-staging a compressed copy on the per-run scratch device (the BSR
+// pattern), which is how bench/prepare_throughput measures the
+// compressed-vs-raw crossover against Polak on one address stream.
 #pragma once
 
 #include "tc/common.hpp"

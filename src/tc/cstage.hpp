@@ -5,7 +5,7 @@
 // decode once — thread 0 of the block streams N+(u) into shared memory
 // (decode is inherently sequential), then every thread takes one staged
 // neighbor v and merges v's compressed stream against the staged row with
-// shared-memory probes (the BFS-LA staging idea applied to compressed
+// shared-memory probes (Hu's shared-cache staging applied to compressed
 // adjacency). Rows longer than the shared cache keep exactness via two
 // fallbacks: staged v's count their tail matches with a dual-cursor merge
 // restricted to anchor positions past the staged prefix, and tail v's are

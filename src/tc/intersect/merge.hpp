@@ -12,10 +12,9 @@
 //                         window of B located by a metered lower_bound
 //                         (Green's merge-path partitioning, Figure 4).
 //
-// Plus the true merge-path machinery (diagonal binary-search partition +
-// window merge) backing the MergePath kernel, and a probe-parameterized
-// merge for kernels whose operands mix shared and global storage (BFS-LA):
-// the probes carry the caller's TCGPU_SITE()s, so sites stay per-kernel.
+// Plus a probe-parameterized merge that reports every match (the stream
+// layer's wedge-delta kernel): the probes carry the caller's TCGPU_SITE()s,
+// so sites stay per-kernel.
 #pragma once
 
 #include <cstdint>
@@ -115,85 +114,12 @@ struct MergeChunked {
   }
 };
 
-/// Merge-path diagonal split (Merrill/Green, as used by the Wang/Owens
-/// comparative study's LB variants): returns how many elements of A precede
-/// diagonal `diag` of the conceptual merge of A and B, with ties resolved
-/// A-first. Every probe is a metered load of one element of each list.
-struct MergePath {
-  static std::uint32_t split(simt::ThreadCtx& ctx, ListRef a, ListRef b,
-                             std::uint32_t diag) {
-    const std::uint32_t la = a.size(), lb = b.size();
-    std::uint32_t lo = diag > lb ? diag - lb : 0;
-    std::uint32_t hi = diag < la ? diag : la;
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      const std::uint32_t av = ctx.load(*a.buf, a.lo + mid, TCGPU_SITE());
-      const std::uint32_t bv = ctx.load(*b.buf, b.lo + (diag - 1 - mid), TCGPU_SITE());
-      if (av <= bv) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
-  /// Counts the matches whose A-element lies in [pa, a_end). The B cursor
-  /// starts at the diagonal's split and may run past the lane's window —
-  /// ties split across a diagonal are thereby credited to exactly the lane
-  /// owning the A-element. Both elements load every iteration.
-  static std::uint64_t count_window(simt::ThreadCtx& ctx, ListRef a,
-                                    std::uint32_t pa, std::uint32_t a_end,
-                                    ListRef b, std::uint32_t pb) {
-    std::uint64_t local = 0;
-    while (pa < a_end && pb < b.hi) {
-      const std::uint32_t x = ctx.load(*a.buf, pa, TCGPU_SITE());
-      const std::uint32_t y = ctx.load(*b.buf, pb, TCGPU_SITE());
-      if (x == y) {
-        ++local;
-        ++pa;
-        ++pb;
-      } else if (x < y) {
-        ++pa;
-      } else {
-        ++pb;
-      }
-    }
-    return local;
-  }
-};
-
 /// Sequential merge over two index spaces with caller-supplied element
-/// probes — for operands that mix shared and global storage (BFS-LA's
-/// staged frontier). The probes own the metered accesses, so the call sites
-/// stay attributed to the composing kernel.
-template <class ProbeA, class ProbeB>
-std::uint64_t merge_count_probed(std::uint32_t na, std::uint32_t nb,
-                                 ProbeA&& probe_a, ProbeB&& probe_b) {
-  std::uint64_t local = 0;
-  std::uint32_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    const std::uint32_t x = probe_a(i);
-    const std::uint32_t y = probe_b(j);
-    if (x == y) {
-      ++local;
-      ++i;
-      ++j;
-    } else if (x < y) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return local;
-}
-
-/// merge_count_probed's emit form: reports every match to
-/// `on_match(value, i, j)` instead of only counting. The stream layer's
-/// wedge-delta kernel composes this — delta maintenance needs the surviving
-/// common neighbors themselves, not just their number, to credit per-edge
-/// support. Probes own the metered accesses, so sites stay attributed to
-/// the composing kernel. Returns the match count.
+/// probes, reporting every match to `on_match(value, i, j)`. The stream
+/// layer's wedge-delta kernel composes this — delta maintenance needs the
+/// surviving common neighbors themselves, not just their number, to credit
+/// per-edge support. Probes own the metered accesses, so sites stay
+/// attributed to the composing kernel. Returns the match count.
 template <class ProbeA, class ProbeB, class OnMatch>
 std::uint64_t merge_collect_probed(std::uint32_t na, std::uint32_t nb,
                                    ProbeA&& probe_a, ProbeB&& probe_b,

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "framework/runner.hpp"
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 #include "gen/rmat.hpp"
 
 namespace tcgpu::apps {

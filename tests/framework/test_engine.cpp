@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "framework/sweep.hpp"
 #include "gen/er.hpp"
 
 namespace tcgpu::framework {
@@ -326,6 +325,7 @@ TEST(EngineSweep, UnknownDatasetSelectionThrows) {
   EXPECT_THROW(engine.sweep(headline_algorithms(), progress), std::out_of_range);
 }
 
+// A one-shot engine built from BenchOptions — what the figure benches do.
 TEST(EngineCompat, RunSweepWrapperStillServesLegacyCallers) {
   BenchOptions opt;
   opt.max_edges = 2'000;
@@ -333,7 +333,7 @@ TEST(EngineCompat, RunSweepWrapperStillServesLegacyCallers) {
   opt.jobs = 1;
   std::vector<AlgorithmEntry> algos = {all_algorithms()[1]};  // Polak
   std::ostringstream progress;
-  const auto rows = run_sweep(opt, algos, progress);
+  const auto rows = Engine(opt).sweep(algos, progress);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].graph->name, "As-Caida");
   EXPECT_TRUE(rows[0].all_valid());

@@ -53,12 +53,10 @@ TEST(Registry, HeadlineTrioForFigure15) {
 
 TEST(Registry, ExtendedSetAppendsVariantsAndLibraryKernels) {
   const auto& ext = extended_algorithms();
-  ASSERT_EQ(ext.size(), all_algorithms().size() + 6);
+  ASSERT_EQ(ext.size(), all_algorithms().size() + 4);
   EXPECT_EQ(ext[all_algorithms().size()].name, "GroupTC-H");
-  EXPECT_EQ(ext[all_algorithms().size() + 1].name, "MergePath");
-  EXPECT_EQ(ext[all_algorithms().size() + 2].name, "BSR");
-  EXPECT_EQ(ext[all_algorithms().size() + 3].name, "BFS-LA");
-  EXPECT_EQ(ext[all_algorithms().size() + 4].name, "CMerge");
+  EXPECT_EQ(ext[all_algorithms().size() + 1].name, "BSR");
+  EXPECT_EQ(ext[all_algorithms().size() + 2].name, "CMerge");
   EXPECT_EQ(ext.back().name, "CStage");
   const auto algo = make_algorithm("GroupTC-H");
   EXPECT_EQ(algo->traits().intersection, "Hash");
@@ -74,9 +72,7 @@ TEST(Registry, LibraryKernelTraitsFillTaxonomyCells) {
     EXPECT_EQ(t.granularity, granularity) << name;
     EXPECT_EQ(t.year, year) << name;
   };
-  check("MergePath", "edge", "Merge", "fine", 2014);
   check("BSR", "vertex", "BitMap", "coarse", 2019);
-  check("BFS-LA", "vertex", "Merge", "coarse", 2019);
   // The compressed-CSR decoders stay in the merge family: decode is a
   // sequential stream read, the same access shape the merge loop already has.
   check("CMerge", "vertex", "Merge", "coarse", 2024);
@@ -85,7 +81,7 @@ TEST(Registry, LibraryKernelTraitsFillTaxonomyCells) {
 
 TEST(Registry, PoolIsPaperNinePlusLibraryKernels) {
   const auto& pool = pool_algorithms();
-  ASSERT_EQ(pool.size(), all_algorithms().size() + 5);
+  ASSERT_EQ(pool.size(), all_algorithms().size() + 3);
   for (std::size_t i = 0; i < all_algorithms().size(); ++i) {
     EXPECT_EQ(pool[i].name, all_algorithms()[i].name);
   }

@@ -1,4 +1,4 @@
-#include "framework/sweep.hpp"
+#include "framework/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@ TEST(Sweep, RunsSelectedDatasetsAgainstSelectedAlgorithms) {
     if (e.name == "Polak" || e.name == "TRUST") algos.push_back(e);
   }
   std::ostringstream progress;
-  const auto rows = run_sweep(opt, algos, progress);
+  const auto rows = Engine(opt).sweep(algos, progress);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].graph->name, "As-Caida");
   EXPECT_EQ(rows[1].graph->name, "RoadNet-CA");
@@ -39,7 +39,7 @@ TEST(Sweep, KeepsPaperDatasetOrder) {
   opt.datasets = {"Wiki-Talk", "As-Caida"};  // selection order must not matter
   std::vector<AlgorithmEntry> algos = {all_algorithms()[1]};  // Polak
   std::ostringstream progress;
-  const auto rows = run_sweep(opt, algos, progress);
+  const auto rows = Engine(opt).sweep(algos, progress);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].graph->name, "As-Caida");  // registry order
   EXPECT_EQ(rows[1].graph->name, "Wiki-Talk");
@@ -50,7 +50,7 @@ TEST(Sweep, EmptySelectionMeansAllNineteen) {
   opt.max_edges = 1'000;
   std::vector<AlgorithmEntry> algos = {all_algorithms()[1]};  // Polak only
   std::ostringstream progress;
-  const auto rows = run_sweep(opt, algos, progress);
+  const auto rows = Engine(opt).sweep(algos, progress);
   EXPECT_EQ(rows.size(), 19u);
 }
 

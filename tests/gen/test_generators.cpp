@@ -5,7 +5,7 @@
 #include "gen/rmat.hpp"
 #include "gen/road.hpp"
 #include "gen/star_burst.hpp"
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 #include "graph/stats.hpp"
 
 namespace tcgpu::gen {

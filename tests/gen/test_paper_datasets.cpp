@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 #include "graph/stats.hpp"
 
 namespace tcgpu::gen {

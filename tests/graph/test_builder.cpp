@@ -1,4 +1,4 @@
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,8 +4,8 @@
 
 #include "gen/er.hpp"
 #include "gen/rmat.hpp"
-#include "graph/builder.hpp"
 #include "graph/orientation.hpp"
+#include "graph/prepare.hpp"
 
 namespace tcgpu::graph {
 namespace {

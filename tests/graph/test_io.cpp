@@ -6,7 +6,7 @@
 #include <fstream>
 
 #include "gen/er.hpp"
-#include "graph/builder.hpp"
+#include "graph/prepare.hpp"
 
 namespace tcgpu::graph {
 namespace {

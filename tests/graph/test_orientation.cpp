@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "gen/rmat.hpp"
-#include "graph/builder.hpp"
 #include "graph/cpu_reference.hpp"
+#include "graph/prepare.hpp"
 
 namespace tcgpu::graph {
 namespace {

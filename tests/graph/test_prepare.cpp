@@ -1,8 +1,7 @@
 // Equivalence gates for the parallel prepare pipeline (graph/prepare.hpp):
 // every stage against an independent std::set / vector-of-vectors oracle,
-// under varying OMP thread counts and all four orientation policies. The
-// builder wrappers delegate here, so these are the invariants the
-// fig11/12/13 byte-identity guarantee rests on.
+// under varying OMP thread counts and all four orientation policies. These
+// are the invariants the fig11/12/13 byte-identity guarantee rests on.
 #include "graph/prepare.hpp"
 
 #include <gtest/gtest.h>
@@ -105,8 +104,7 @@ std::vector<Coo> messy_graphs() {
 
 TEST(PreparePipeline, CleanMatchesSetOracle) {
   for (const Coo& raw : messy_graphs()) {
-    Coo copy = raw;
-    const Coo got = clean_edges_inplace(std::move(copy));
+    const Coo got = clean_edges(raw);
     const Coo want = oracle_clean(raw);
     EXPECT_EQ(got.num_vertices, want.num_vertices);
     EXPECT_EQ(got.edges, want.edges);
@@ -116,7 +114,7 @@ TEST(PreparePipeline, CleanMatchesSetOracle) {
 TEST(PreparePipeline, UndirectedCsrMatchesOracle) {
   for (const Coo& raw : messy_graphs()) {
     const Coo clean = oracle_clean(raw);
-    EXPECT_EQ(build_undirected_csr_parallel(clean), oracle_undirected_csr(clean));
+    EXPECT_EQ(build_undirected_csr(clean), oracle_undirected_csr(clean));
   }
 }
 
@@ -159,7 +157,7 @@ TEST(PreparePipeline, RejectsOutOfRangeIds) {
   Coo raw;
   raw.num_vertices = 2;
   raw.edges = {{0, 5}};
-  EXPECT_THROW(clean_edges_inplace(std::move(raw)), std::invalid_argument);
+  EXPECT_THROW(clean_edges(std::move(raw)), std::invalid_argument);
 }
 
 TEST(SymmetrizeDag, RebuildsTheUndirectedAdjacency) {
@@ -183,7 +181,7 @@ TEST(SymmetrizeDag, RebuildsTheUndirectedAdjacency) {
 
 TEST(SymmetrizeDag, RejectsUnorientedInput) {
   // 1 -> 0 violates the u < v contract.
-  const Csr bad = build_directed_csr_parallel(2, {{1, 0}});
+  const Csr bad = build_directed_csr(2, {{1, 0}});
   EXPECT_THROW(symmetrize_dag(bad), std::invalid_argument);
 }
 

@@ -7,6 +7,8 @@
 // bench/selector_fit and refresh Selector::default_models().
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -123,6 +125,25 @@ TEST(SelectorAccuracy, CanonicalPicksArePinned) {
     if (it == pinned.end()) continue;
     EXPECT_EQ(g.selector.choose(row.graph->stats).algorithm, it->second)
         << row.graph->name;
+  }
+}
+
+TEST(SelectorAccuracy, EveryLibraryKernelEarnsItsPoolSlot) {
+  // No single kernel wins everywhere (§V), so the pool keeps the kernels
+  // that win somewhere: each one beyond the paper's nine must measure best,
+  // or within 10% of best, on at least one dataset of the suite.
+  const auto& g = grid();
+  const auto& paper = framework::all_algorithms();
+  for (const auto& e : framework::pool_algorithms()) {
+    if (std::any_of(paper.begin(), paper.end(),
+                    [&](const auto& p) { return p.name == e.name; })) {
+      continue;
+    }
+    double closest = std::numeric_limits<double>::infinity();
+    for (const auto& row : g.rows) {
+      closest = std::min(closest, g.measured(row, e.name) / g.best(row));
+    }
+    EXPECT_LE(closest, 1.10) << e.name << " is never within 10% of the best";
   }
 }
 

@@ -6,8 +6,8 @@
 
 #include "framework/runner.hpp"
 #include "gen/rmat.hpp"
-#include "graph/builder.hpp"
 #include "graph/cpu_reference.hpp"
+#include "graph/prepare.hpp"
 #include "graph/stats.hpp"
 #include "stream/churn.hpp"
 #include "tc/support.hpp"

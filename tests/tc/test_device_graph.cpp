@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/builder.hpp"
 #include "graph/orientation.hpp"
+#include "graph/prepare.hpp"
 
 namespace tcgpu::tc {
 namespace {

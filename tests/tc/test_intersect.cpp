@@ -118,39 +118,6 @@ TEST(IntersectBinSearch, SweepMatchesStdSetIntersection) {
   }
 }
 
-TEST(IntersectMergePath, WarpPartitionMatchesStdSetIntersection) {
-  // Full 32-lane diagonal partition, as the MergePath kernel runs it: each
-  // lane splits its diagonals and merges its window; ties across a diagonal
-  // must be counted exactly once.
-  for (const auto& s : shapes()) {
-    simt::Device dev;
-    auto da = dev.alloc<std::uint32_t>(std::max<std::size_t>(1, s.a.size()));
-    auto db = dev.alloc<std::uint32_t>(std::max<std::size_t>(1, s.b.size()));
-    std::copy(s.a.begin(), s.a.end(), da.host_data());
-    std::copy(s.b.begin(), s.b.end(), db.host_data());
-    auto out = dev.alloc<std::uint64_t>(1);
-
-    simt::LaunchConfig cfg{1, 32, 32};
-    simt::launch_items<simt::NoState>(
-        test_spec(), cfg, 1,
-        [&](simt::ThreadCtx& ctx, simt::NoState&, std::uint64_t) {
-          const ListRef a{&da, 0, static_cast<std::uint32_t>(s.a.size())};
-          const ListRef b{&db, 0, static_cast<std::uint32_t>(s.b.size())};
-          const std::uint32_t t = ctx.group_lane();
-          const std::uint32_t total = a.size() + b.size();
-          const std::uint32_t d0 = total * t / 32;
-          const std::uint32_t d1 = total * (t + 1) / 32;
-          if (d0 >= d1) return;
-          const std::uint32_t ai0 = MergePath::split(ctx, a, b, d0);
-          const std::uint32_t ai1 = MergePath::split(ctx, a, b, d1);
-          const std::uint64_t local = MergePath::count_window(
-              ctx, a, a.lo + ai0, a.lo + ai1, b, b.lo + (d0 - ai0));
-          ctx.atomic_add(out, 0, local, TCGPU_SITE());
-        });
-    EXPECT_EQ(out.host_span()[0], ref_count(s)) << s.name;
-  }
-}
-
 TEST(IntersectBinSearch, HeapSearchMatchesStdSetIntersection) {
   // Heap-ordered probes over B, exactly as TriCore walks its cached tree:
   // probe (k, mid) must see the same element at heap node k (via the host
