@@ -1,29 +1,23 @@
-// Closed-loop load generator for serve::QueryService — and, with --fleet,
-// for the fleet::FleetService stack on top of it.
+// Closed-loop load generator for the serving stack: serve::QueryService on
+// a fleet::Fleet of M modeled devices (fleet::FleetService).
 //
-// Legacy mode (no --fleet): two phases. Warmup issues one query per distinct
-// dataset serially, in fixed order — this pins the service's decision table
-// (sticky picks), so selector decisions and triangle counts are reproducible
-// run-to-run no matter how the timed phase's threads interleave. The table
-// is printed, and --check-picks=ds:algo,... turns it into a CI regression
-// gate (exit 3 on any drift). The timed phase then runs N closed-loop
-// clients round-robining the same datasets for a fixed number of queries,
-// and reports p50/p95/p99 end-to-end latency and QPS.
+// Sweeps the modeled device count (M = 1,2,4,8, or just --gpus=N) running
+// closed-loop mixed traffic — a "small" tenant on light graphs, a "huge"
+// tenant on the heavyweights, a "mut" tenant committing mutation batches —
+// through the service's scheduler -> fleet. Per M, a serial warmup (one
+// query per dataset, fixed order) pins the decision table and the placement
+// table, so picks, placements and counts are reproducible run to run no
+// matter how the timed phase's threads interleave. --check-picks=
+// ds:algo,... and --check-placements=ds:placement,... turn the two tables
+// into CI regression gates (exit 3 on drift; placements depend on M, so
+// that gate requires --gpus). Reports per-M utilization, QPS and latency
+// percentiles, plus per-tenant goodput. Exit codes: 0 = every reply ok and
+// every count matched the CPU reference, 1 = a failed query or a
+// mismatched count (sharded runs included), 2 = bad flags, 3 = drift.
 //
-// Fleet mode (--fleet): sweeps the modeled device count (M = 1,2,4,8, or
-// just --gpus=N) running closed-loop mixed traffic — a "small" tenant on
-// light graphs, a "huge" tenant on the heavyweights, a "mut" tenant
-// committing mutation batches — through the service's scheduler -> fleet.
-// Warmup pins both the decision table and the placement table;
-// --check-placements=ds:placement,... gates placements like --check-picks
-// (exit 3 on drift; requires --gpus since placements depend on M). At M=1
-// the fleet's warmup picks and counts are asserted bit-identical to a plain
-// backend-less QueryService (exit 4 on mismatch). Reports per-M utilization,
-// QPS and latency percentiles, plus per-tenant goodput.
-//
-// Try: serve_throughput --datasets=As-Caida,Soc-Pokec,Com-Orkut
-//        --clients=4 --queries=120
-//      serve_throughput --fleet --gpus=4 --queries=120
+// Try: serve_throughput --gpus=1 --datasets=As-Caida,Soc-Pokec,Com-Orkut
+//        --clients=2 --queries=12
+//      serve_throughput --gpus=4 --queries=120
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -49,11 +43,13 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/// Parses "key:value,..." gate strings (--check-placements). Splits at the
-/// FIRST colon — dataset names contain none, but placement values do
-/// ("shard4:range"). Returns false on a malformed entry.
-bool parse_gate(const std::string& spec,
-                std::vector<std::pair<std::string, std::string>>* out) {
+/// (key, value) rows: pinned gate entries and latched decision tables.
+using Table = std::vector<std::pair<std::string, std::string>>;
+
+/// Parses "key:value,..." gate strings (--check-picks, --check-placements).
+/// Splits at the FIRST colon — dataset names contain none, but placement
+/// values do ("shard4:range"). Returns false on a malformed entry.
+bool parse_gate(const std::string& spec, Table* out) {
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
@@ -62,6 +58,24 @@ bool parse_gate(const std::string& spec,
     out->emplace_back(item.substr(0, colon), item.substr(colon + 1));
   }
   return true;
+}
+
+/// Asserts pinned entries against a latched (key, value) table; prints one
+/// "<WHAT> DRIFT" line per mismatch. Returns true when every pin holds.
+bool gate_holds(const char* what, const Table& pins, const Table& latched) {
+  const std::map<std::string, std::string> table(latched.begin(),
+                                                 latched.end());
+  bool holds = true;
+  for (const auto& [key, want] : pins) {
+    const auto it = table.find(key);
+    const std::string got = it == table.end() ? "<none>" : it->second;
+    if (got != want) {
+      std::cerr << what << " DRIFT: " << key << " -> " << got << " (pinned "
+                << want << ")\n";
+      holds = false;
+    }
+  }
+  return holds;
 }
 
 /// One closed-loop tenant of the fleet workload.
@@ -73,8 +87,17 @@ struct TenantLoad {
   bool mutate = false;  ///< issue mutation batches instead of counts
 };
 
-int fleet_main(const tcgpu::framework::BenchOptions& opt) {
+}  // namespace
+
+int main(int argc, char** argv) {
   using namespace tcgpu;
+  framework::BenchOptions opt;
+  try {
+    opt = framework::BenchOptions::parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
 
   std::vector<std::uint32_t> fleet_sizes;
   if (opt.gpus != 0) {
@@ -82,14 +105,24 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
   } else {
     fleet_sizes = {1, 2, 4, 8};
   }
-  if (!opt.check_placements.empty() && opt.gpus == 0) {
+  Table pinned_picks, pinned_placements;
+  if (!parse_gate(opt.check_picks, &pinned_picks)) {
+    std::cerr << "bad --check-picks entry (expected dataset:algorithm,...)\n";
+    return 2;
+  }
+  if (!parse_gate(opt.check_placements, &pinned_placements)) {
+    std::cerr << "bad --check-placements entry (expected "
+                 "dataset:placement,...)\n";
+    return 2;
+  }
+  if (!pinned_placements.empty() && opt.gpus == 0) {
     std::cerr << "--check-placements requires --gpus=N (placements depend on "
                  "the fleet size)\n";
     return 2;
   }
   if (opt.hosts > 1 && opt.gpus == 0) {
-    std::cerr << "--hosts requires --gpus=N in fleet mode (every swept fleet "
-                 "size must be a multiple of the host count)\n";
+    std::cerr << "--hosts requires --gpus=N (every swept fleet size must be "
+                 "a multiple of the host count)\n";
     return 2;
   }
   if (opt.hosts > 1 && opt.gpus % opt.hosts != 0) {
@@ -98,8 +131,8 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
     return 2;
   }
   if (!opt.interconnect.empty() && opt.hosts <= 1) {
-    std::cerr << "--interconnect sets the inter-host link in fleet mode and "
-                 "requires --hosts > 1\n";
+    std::cerr << "--interconnect sets the inter-host link and requires "
+                 "--hosts > 1\n";
     return 2;
   }
 
@@ -124,29 +157,6 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
 
   const std::size_t clients = opt.clients == 0 ? 4 : opt.clients;
   const std::uint64_t total_queries = opt.queries == 0 ? 120 : opt.queries;
-
-  // M=1 reference: the plain backend-less service's warmup picks/counts,
-  // for the bit-identity gate.
-  std::map<std::string, std::pair<std::string, std::uint64_t>> reference;
-  {
-    framework::Engine ref_engine(opt);
-    serve::QueryService::Config rc;
-    rc.workers = 1;
-    serve::QueryService ref_service(ref_engine, rc);
-    for (const auto& name : warmup_order) {
-      serve::QueryRequest req;
-      req.dataset = name;
-      auto reply = ref_service.submit(std::move(req)).get();
-      if (reply.status != serve::QueryStatus::kOk) {
-        std::cerr << "reference warmup for '" << name
-                  << "' failed: " << to_string(reply.status) << " "
-                  << reply.error << '\n';
-        return 2;
-      }
-      reference[name] = {reply.algorithm, reply.triangles};
-    }
-    ref_service.shutdown();
-  }
 
   framework::ResultTable sweep({"devices", "queries", "ok", "shed", "util",
                                 "qps", "p50_ms", "p95_ms", "p99_ms",
@@ -173,61 +183,44 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
     fleet::FleetService service(engine, fleet, sc);
 
     // --- serial warmup: pins picks and placements ------------------------
-    bool identical = true;
+    framework::ResultTable warmup({"dataset", "algorithm", "placement",
+                                   "modeled_ms", "measured_ms", "triangles"});
     for (const auto& name : warmup_order) {
       serve::QueryRequest req;
       req.dataset = name;
       auto reply = service.submit(std::move(req)).get();
       if (reply.status != serve::QueryStatus::kOk) {
-        std::cerr << "fleet warmup for '" << name << "' (M=" << devices
+        std::cerr << "warmup for '" << name << "' (M=" << devices
                   << ") failed: " << to_string(reply.status) << " "
                   << reply.error << '\n';
         return 2;
       }
-      const auto& [ref_algo, ref_triangles] = reference[name];
-      if (reply.algorithm != ref_algo || reply.triangles != ref_triangles) {
-        if (devices == 1) {
-          std::cerr << "M=1 DIVERGENCE: " << name << " -> " << reply.algorithm
-                    << "/" << reply.triangles << " vs plain service "
-                    << ref_algo << "/" << ref_triangles << '\n';
-          identical = false;
-        }
+      if (!reply.valid) {
+        std::cerr << "warmup for '" << name << "' (M=" << devices
+                  << "): COUNT MISMATCH (" << reply.triangles << " via "
+                  << reply.algorithm << ", " << reply.placement << ")\n";
+        return 1;
       }
+      warmup.add_row({name, reply.algorithm, reply.placement,
+                      framework::ResultTable::fmt(reply.modeled.modeled_ms, 4),
+                      framework::ResultTable::fmt(reply.stats.time_ms, 4),
+                      std::to_string(reply.triangles)});
     }
-    if (!identical) return 4;
-
-    if (devices == fleet_sizes.back() || opt.gpus != 0) {
-      framework::ResultTable placements({"dataset", "placement"});
-      for (const auto& [key, placement] : fleet.placement_table()) {
-        placements.add_row({key, placement});
-      }
-      framework::emit(placements, opt, std::cout,
-                      "Placement table (M=" + std::to_string(devices) +
-                          ", serial warmup)");
+    if (devices == fleet_sizes.back()) {
+      framework::emit(warmup, opt, std::cout,
+                      "Warmup decisions (M=" + std::to_string(devices) +
+                          ", serial warmup, seed " + std::to_string(opt.seed) +
+                          ", edge cap " + std::to_string(opt.max_edges) + ")");
     }
-
-    if (!opt.check_placements.empty()) {
-      std::map<std::string, std::string> table;
-      for (const auto& [key, placement] : fleet.placement_table()) {
-        table[key] = placement;
+    if (!pinned_picks.empty()) {
+      if (!gate_holds("PICK", pinned_picks, service.decision_table())) return 3;
+      std::cout << "# pinned picks hold\n";
+    }
+    if (!pinned_placements.empty()) {
+      if (!gate_holds("PLACEMENT", pinned_placements,
+                      fleet.placement_table())) {
+        return 3;
       }
-      std::vector<std::pair<std::string, std::string>> wanted;
-      if (!parse_gate(opt.check_placements, &wanted)) {
-        std::cerr << "bad --check-placements entry (expected "
-                     "dataset:placement,...)\n";
-        return 2;
-      }
-      bool drift = false;
-      for (const auto& [ds, want] : wanted) {
-        const auto it = table.find(ds);
-        const std::string got = it == table.end() ? "<none>" : it->second;
-        if (got != want) {
-          std::cerr << "PLACEMENT DRIFT: " << ds << " -> " << got
-                    << " (pinned " << want << ")\n";
-          drift = true;
-        }
-      }
-      if (drift) return 3;
       std::cout << "# pinned placements hold\n";
     }
 
@@ -291,7 +284,11 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
               const double ms = std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - start)
                                     .count();
-              if (reply.status != serve::QueryStatus::kOk) not_ok.fetch_add(1);
+              // Sharded runs validate in the runner, not the engine: a
+              // miscount only shows in the reply.
+              if (reply.status != serve::QueryStatus::kOk || !reply.valid) {
+                not_ok.fetch_add(1);
+              }
               local.push_back(ms);
             }
             std::lock_guard lk(lat_mu);
@@ -349,135 +346,3 @@ int fleet_main(const tcgpu::framework::BenchOptions& opt) {
   return exit_status;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace tcgpu;
-  framework::BenchOptions opt;
-  try {
-    opt = framework::BenchOptions::parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n';
-    return 2;
-  }
-  if (opt.fleet) return fleet_main(opt);
-
-  std::vector<std::string> datasets = opt.datasets;
-  if (datasets.empty()) {
-    for (const auto& spec : gen::paper_datasets()) datasets.push_back(spec.name);
-  }
-  const std::size_t clients = opt.clients == 0 ? 4 : opt.clients;
-  const std::uint64_t total_queries =
-      opt.queries == 0 ? 16 * datasets.size() : opt.queries;
-
-  framework::Engine engine(opt);
-  serve::QueryService::Config cfg;
-  cfg.workers = opt.jobs == 0 ? 2 : opt.jobs;
-  serve::QueryService service(engine, cfg);
-
-  // --- Phase 1: serial warmup pins the decision table --------------------
-  framework::ResultTable picks({"dataset", "algorithm", "modeled_ms",
-                                "measured_ms", "triangles", "valid"});
-  for (const auto& name : datasets) {
-    serve::QueryRequest req;
-    req.dataset = name;
-    auto reply = service.submit(std::move(req)).get();
-    if (reply.status != serve::QueryStatus::kOk) {
-      std::cerr << "warmup query for '" << name
-                << "' failed: " << to_string(reply.status) << " "
-                << reply.error << '\n';
-      return 2;
-    }
-    picks.add_row({name, reply.algorithm,
-                   framework::ResultTable::fmt(reply.modeled.modeled_ms, 4),
-                   framework::ResultTable::fmt(reply.stats.time_ms, 4),
-                   std::to_string(reply.triangles),
-                   reply.valid ? "yes" : "NO"});
-  }
-  framework::emit(picks, opt, std::cout,
-                  "Selector decision table (serial warmup, seed " +
-                      std::to_string(opt.seed) + ", edge cap " +
-                      std::to_string(opt.max_edges) + ")");
-
-  if (!opt.check_picks.empty()) {
-    // "dataset:algorithm,..." — assert against the latched table.
-    std::map<std::string, std::string> table;
-    for (const auto& [key, algo] : service.decision_table()) table[key] = algo;
-    bool drift = false;
-    std::stringstream ss(opt.check_picks);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      const auto colon = item.rfind(':');
-      if (colon == std::string::npos) {
-        std::cerr << "bad --check-picks entry '" << item
-                  << "' (expected dataset:algorithm)\n";
-        return 2;
-      }
-      const std::string ds = item.substr(0, colon);
-      const std::string want = item.substr(colon + 1);
-      const auto it = table.find(ds);
-      const std::string got = it == table.end() ? "<none>" : it->second;
-      if (got != want) {
-        std::cerr << "PICK DRIFT: " << ds << " -> " << got << " (pinned "
-                  << want << ")\n";
-        drift = true;
-      }
-    }
-    if (drift) return 3;
-    std::cout << "# pinned picks hold\n";
-  }
-
-  // --- Phase 2: closed-loop timed run ------------------------------------
-  std::atomic<std::uint64_t> next{0};
-  std::vector<std::vector<double>> latencies(clients);
-  std::atomic<std::uint64_t> not_ok{0};
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (std::size_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        for (std::uint64_t i = next.fetch_add(1); i < total_queries;
-             i = next.fetch_add(1)) {
-          serve::QueryRequest req;
-          req.dataset = datasets[i % datasets.size()];
-          auto reply = service.submit(std::move(req)).get();
-          if (reply.status != serve::QueryStatus::kOk || !reply.valid) {
-            not_ok.fetch_add(1);
-          }
-          latencies[c].push_back(reply.trace.total_ms());
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  std::vector<double> all;
-  for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-
-  const auto counters = service.counters();
-  framework::ResultTable summary({"clients", "queries", "not_ok", "batches",
-                                  "batched", "p50_ms", "p95_ms", "p99_ms",
-                                  "qps"});
-  summary.add_row(
-      {std::to_string(clients), std::to_string(all.size()),
-       std::to_string(not_ok.load()), std::to_string(counters.batches),
-       std::to_string(counters.batched),
-       framework::ResultTable::fmt(percentile(all, 0.50), 3),
-       framework::ResultTable::fmt(percentile(all, 0.95), 3),
-       framework::ResultTable::fmt(percentile(all, 0.99), 3),
-       framework::ResultTable::fmt(
-           wall_s > 0.0 ? static_cast<double>(all.size()) / wall_s : 0.0, 1)});
-  framework::emit(summary, opt, std::cout,
-                  "Closed-loop throughput (" + std::to_string(clients) +
-                      " clients, " + std::to_string(total_queries) +
-                      " queries)");
-
-  service.shutdown();
-  if (not_ok.load() != 0) return 1;
-  return engine.exit_code();
-}

@@ -11,9 +11,9 @@ namespace tcgpu::dist {
 /// per-run scratch continues each shard's address layout — on N == 1 that
 /// reproduces the single-device engine's address stream exactly.
 struct MultiDeviceRunner::ShardSet {
+  framework::Engine::GraphHandle keepalive;  ///< set once, under pool_mu_
   std::mutex m;
   bool ready = false;
-  framework::Engine::GraphHandle keepalive;
   Partitioning parts;
   std::vector<std::unique_ptr<simt::Device>> devices;
   std::vector<tc::DeviceGraph> graphs;
@@ -32,12 +32,14 @@ std::shared_ptr<MultiDeviceRunner::ShardSet> MultiDeviceRunner::acquire_shards(
   {
     std::lock_guard lk(pool_mu_);
     auto& slot = pool_[graph.get()];
-    if (!slot) slot = std::make_shared<ShardSet>();
+    if (!slot) {
+      slot = std::make_shared<ShardSet>();
+      slot->keepalive = graph;
+    }
     set = slot;
   }
   std::lock_guard lk(set->m);
   if (!set->ready) {
-    set->keepalive = graph;
     const Partitioner p(cfg_.strategy, net_.num_devices(),
                         engine_.config().seed, cfg_.cluster.hosts);
     set->parts = p.partition(graph->dag);
@@ -156,6 +158,23 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
 MultiRunResult MultiDeviceRunner::run(const std::string& algorithm,
                                       const framework::Engine::GraphHandle& graph) {
   return run(*framework::make_algorithm(algorithm), graph);
+}
+
+bool MultiDeviceRunner::release(const framework::Engine::GraphHandle& graph) {
+  std::lock_guard lk(pool_mu_);
+  return pool_.erase(graph.get()) != 0;
+}
+
+std::size_t MultiDeviceRunner::invalidate(const std::string& name) {
+  std::lock_guard lk(pool_mu_);
+  return std::erase_if(pool_, [&](const auto& entry) {
+    return entry.second->keepalive->name == name;
+  });
+}
+
+std::size_t MultiDeviceRunner::resident_graphs() const {
+  std::lock_guard lk(pool_mu_);
+  return pool_.size();
 }
 
 bool MultiDeviceRunner::all_valid() const {

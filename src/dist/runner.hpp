@@ -116,6 +116,13 @@ class MultiDeviceRunner {
   MultiRunResult run(const std::string& algorithm,
                      const framework::Engine::GraphHandle& graph);
 
+  /// Drops one graph's pooled shard images (in-flight runs keep theirs) —
+  /// the twin of Engine::release_device. False if none were pooled.
+  bool release(const framework::Engine::GraphHandle& graph);
+  /// Same for every graph named `name`; returns how many were dropped.
+  std::size_t invalidate(const std::string& name);
+  std::size_t resident_graphs() const;  ///< graphs with pooled shards
+
   const MultiRunConfig& config() const { return cfg_; }
   bool all_valid() const;
 

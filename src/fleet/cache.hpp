@@ -8,9 +8,9 @@
 //
 //   * structurally, a mutated graph is queried at its NEW version, which is
 //     a different key and can never hit a stale entry;
-//   * explicitly, ExecutionBackend::invalidate(key) (called on every commit)
-//     drops all versions of the key, so stale entries do not linger and a
-//     version number reused across a service restart cannot resurrect them.
+//   * explicitly, Fleet::invalidate(key) (called on every commit) drops all
+//     versions of the key, so stale entries do not linger and a version
+//     number reused across a service restart cannot resurrect them.
 #pragma once
 
 #include <cstdint>
@@ -75,11 +75,6 @@ class ResultCache {
   CacheCounters counters() const {
     std::lock_guard lk(mu_);
     return counters_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard lk(mu_);
-    return entries_.size();
   }
 
  private:

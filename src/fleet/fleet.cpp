@@ -46,7 +46,7 @@ Fleet::Fleet(framework::Engine& engine, Config cfg)
   }
 }
 
-Placement Fleet::placement_for(const serve::ExecutionRequest& req) {
+Placement Fleet::placement_for(const ExecutionRequest& req) {
   const auto key = std::make_pair(req.key, req.version);
   {
     std::lock_guard lk(mu_);
@@ -85,7 +85,7 @@ dist::MultiDeviceRunner& Fleet::runner_for(std::uint32_t shards) {
   return *runner;
 }
 
-serve::ExecutionOutcome Fleet::run_single(const serve::ExecutionRequest& req) {
+ExecutionOutcome Fleet::run_single(const ExecutionRequest& req) {
   std::uint32_t slot_id = 0;
   {
     // Bind to the slot already holding this graph's image (warm), else the
@@ -106,7 +106,7 @@ serve::ExecutionOutcome Fleet::run_single(const serve::ExecutionRequest& req) {
     slot_id = best->id;
   }
 
-  serve::ExecutionOutcome out;
+  ExecutionOutcome out;
   out.run = engine_.run(req.algorithm, req.graph);
 
   std::lock_guard lk(mu_);
@@ -126,12 +126,12 @@ serve::ExecutionOutcome Fleet::run_single(const serve::ExecutionRequest& req) {
   return out;
 }
 
-serve::ExecutionOutcome Fleet::run_sharded(const serve::ExecutionRequest& req,
-                                           const Placement& placement) {
+ExecutionOutcome Fleet::run_sharded(const ExecutionRequest& req,
+                                    const Placement& placement) {
   dist::MultiDeviceRunner& runner = runner_for(placement.shards);
   const dist::MultiRunResult mr = runner.run(req.algorithm, req.graph);
 
-  serve::ExecutionOutcome out;
+  ExecutionOutcome out;
   out.run.algorithm = mr.algorithm;
   out.run.dataset = mr.dataset;
   out.run.result.triangles = mr.triangles;
@@ -162,12 +162,12 @@ serve::ExecutionOutcome Fleet::run_sharded(const serve::ExecutionRequest& req,
   return out;
 }
 
-serve::ExecutionOutcome Fleet::execute(const serve::ExecutionRequest& req) {
+ExecutionOutcome Fleet::execute(const ExecutionRequest& req) {
   const Placement placement = placement_for(req);
   if (cfg_.result_cache) {
     ResultCache::Entry hit;
     if (cache_.lookup(req.key, req.version, req.hint, req.algorithm, &hit)) {
-      serve::ExecutionOutcome out;
+      ExecutionOutcome out;
       out.cache_hit = true;
       out.run.algorithm = req.algorithm;
       out.run.dataset = req.graph ? req.graph->name : req.key;
@@ -182,7 +182,7 @@ serve::ExecutionOutcome Fleet::execute(const serve::ExecutionRequest& req) {
     }
   }
 
-  serve::ExecutionOutcome out =
+  ExecutionOutcome out =
       placement.sharded ? run_sharded(req, placement) : run_single(req);
   out.placement = placement.describe();
   if (cfg_.result_cache) {
@@ -192,8 +192,15 @@ serve::ExecutionOutcome Fleet::execute(const serve::ExecutionRequest& req) {
   return out;
 }
 
+void Fleet::release(const framework::Engine::GraphHandle& graph) {
+  engine_.release_device(graph);
+  std::lock_guard lk(mu_);
+  for (auto& [width, runner] : runners_) runner->release(graph);
+}
+
 void Fleet::invalidate(const std::string& key) {
   cache_.invalidate(key);
+  engine_.invalidate(key);
   std::lock_guard lk(mu_);
   ++counters_.invalidations;
   for (auto it = placements_.lower_bound(std::make_pair(key, std::uint64_t{0}));
@@ -201,6 +208,7 @@ void Fleet::invalidate(const std::string& key) {
     it = placements_.erase(it);
   }
   for (DeviceSlot& s : slots_) s.drop(key);
+  for (auto& [width, runner] : runners_) runner->invalidate(key);
 }
 
 std::vector<std::pair<std::string, std::string>> Fleet::placement_table()
@@ -222,6 +230,13 @@ std::vector<std::pair<std::string, std::string>> Fleet::placement_table()
 std::vector<DeviceSlot> Fleet::slots() const {
   std::lock_guard lk(mu_);
   return slots_;
+}
+
+std::size_t Fleet::sharded_graphs() const {
+  std::lock_guard lk(mu_);
+  std::size_t n = 0;
+  for (const auto& [width, runner] : runners_) n += runner->resident_graphs();
+  return n;
 }
 
 FleetCounters Fleet::counters() const {

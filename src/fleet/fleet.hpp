@@ -1,7 +1,7 @@
-// fleet::Fleet — the multi-GPU execution backend.
+// fleet::Fleet — the serving executor: every serve::QueryService runs its
+// kernels through one (a one-device fleet it owns, or one it borrows).
 //
-// Plugs into serve::QueryService through serve::ExecutionBackend and unifies
-// the serving and dist layers: every resolved query passes through
+// Unifies the serving and dist layers: every resolved query passes through
 //
 //   1. the result cache (cache.hpp) — a repeat of a (graph, version, hint,
 //      kernel) question replays the validated count without touching a
@@ -18,11 +18,9 @@
 //
 // The Config's devices / hosts / interconnect / inter fields describe one
 // simt::ClusterSpec, built once in the constructor; the placer prices every
-// width on it and each width's runner runs on its share of it.
-//
-// With Config::devices == 1 every query takes the single-device path on
-// slot 0 through the same Engine::run a backend-less QueryService calls —
-// counts, picks and KernelStats are bit-identical to the plain service.
+// width on it and each width's runner runs on its share of it. With
+// devices == 1 (the plain QueryService's fleet) no width is admissible, so
+// every miss runs Engine::run on slot 0.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,6 @@
 #include "fleet/placer.hpp"
 #include "fleet/slot.hpp"
 #include "framework/engine.hpp"
-#include "serve/backend.hpp"
 #include "serve/selector.hpp"
 
 namespace tcgpu::fleet {
@@ -50,7 +47,30 @@ struct FleetCounters {
   std::uint64_t invalidations = 0; ///< invalidate() calls (version bumps)
 };
 
-class Fleet : public serve::ExecutionBackend {
+/// One resolved query, ready to execute.
+struct ExecutionRequest {
+  /// Stable graph identity: dataset name, or "inline:<hash>" for inline
+  /// queries. Together with `version` it keys result caching and placement.
+  std::string key;
+  std::uint64_t version = 0;  ///< graph version (0 = never mutated)
+  serve::Hint hint = serve::Hint::kAuto;
+  std::string algorithm;  ///< kernel to run (selector's or caller's choice)
+  /// The selector's single-device score for `algorithm` on this graph —
+  /// placement decisions start from it instead of re-scoring.
+  serve::CostBreakdown modeled;
+  framework::Engine::GraphHandle graph;
+};
+
+struct ExecutionOutcome {
+  framework::RunOutcome run;
+  bool cache_hit = false;  ///< served from the result cache; run is synthetic
+  bool sharded = false;
+  std::uint32_t devices = 1;     ///< shards the kernel ran across
+  double comm_ms = 0.0;          ///< modeled interconnect time (sharded only)
+  std::string placement = "single";  ///< placer's decision label
+};
+
+class Fleet {
  public:
   struct Config {
     std::uint32_t devices = 1;  ///< 0 is treated as 1
@@ -77,26 +97,38 @@ class Fleet : public serve::ExecutionBackend {
   /// devices.
   Fleet(framework::Engine& engine, Config cfg);
 
-  serve::ExecutionOutcome execute(const serve::ExecutionRequest& req) override;
-  void invalidate(const std::string& key) override;
+  /// Thread-safe; throws what the run throws (std::out_of_range for an
+  /// unknown algorithm).
+  ExecutionOutcome execute(const ExecutionRequest& req);
+
+  /// Drops one graph's device images: the engine's and every width's
+  /// shards (in-flight runs keep theirs). For one-shot graphs after their
+  /// batch and for a streamed head a commit made stale.
+  void release(const framework::Engine::GraphHandle& graph);
+  /// After every commit of `key`: drops its cached results, placements and
+  /// slot charges (all versions), the engine's cached prepares of it, and
+  /// the shard images of every graph named `key`.
+  void invalidate(const std::string& key);
 
   /// The latched (graph key, version) -> placement table, sorted — what
-  /// bench/serve_throughput --fleet prints and CI pins. Version-0 entries
-  /// print as the bare key, later versions as "key@vN".
+  /// bench/serve_throughput prints and CI pins. Version-0 entries print as
+  /// the bare key, later versions as "key@vN".
   std::vector<std::pair<std::string, std::string>> placement_table() const;
 
   /// Snapshot of the device slots (residency, busy time, runs).
   std::vector<DeviceSlot> slots() const;
+  /// Graphs whose shard images are pooled, summed over widths.
+  std::size_t sharded_graphs() const;
 
   FleetCounters counters() const;
   CacheCounters cache_counters() const { return cache_.counters(); }
   const Config& config() const { return cfg_; }
 
  private:
-  serve::ExecutionOutcome run_single(const serve::ExecutionRequest& req);
-  serve::ExecutionOutcome run_sharded(const serve::ExecutionRequest& req,
-                                      const Placement& placement);
-  Placement placement_for(const serve::ExecutionRequest& req);
+  ExecutionOutcome run_single(const ExecutionRequest& req);
+  ExecutionOutcome run_sharded(const ExecutionRequest& req,
+                               const Placement& placement);
+  Placement placement_for(const ExecutionRequest& req);
   dist::MultiDeviceRunner& runner_for(std::uint32_t shards);
 
   framework::Engine& engine_;

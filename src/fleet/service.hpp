@@ -1,19 +1,18 @@
-// fleet::FleetService — the SLO-aware serving front door over a fleet.
+// fleet::FleetService — a serve::QueryService over a borrowed fleet.
 //
 // Composition: client -> serve::QueryService (EDF + per-tenant WFQ
 // scheduler with per-tenant backpressure -> workers -> same-graph batching
 // -> selection) -> fleet::Fleet (cache, placement, device slots) ->
 // Engine / MultiDeviceRunner.
 //
-// FleetService owns no queue and no thread: it is a QueryService whose
-// execution backend is the fleet. Tenants get weighted fair dispatch
+// Every QueryService runs on a fleet; this is the spelling for an M-device
+// fleet the caller owns (the QueryService(engine, fleet, cfg) constructor).
+// It owns no queue and no thread: tenants get weighted fair dispatch
 // shares, deadline queries jump bulk work (EDF), a query already past its
 // deadline is dropped before it costs a kernel, and one tenant's backlog
 // blocks or sheds only that tenant — all in the one scheduler that every
 // QueryService pops.
 #pragma once
-
-#include <utility>
 
 #include "fleet/fleet.hpp"
 #include "serve/service.hpp"
@@ -27,17 +26,10 @@ class FleetService final : public serve::QueryService {
   using Config = serve::QueryService::Config;
 
   /// Borrows the engine and the fleet; both must outlive the service.
-  /// `cfg.backend` is overwritten with the fleet.
   FleetService(framework::Engine& engine, Fleet& fleet, Config cfg)
-      : serve::QueryService(engine, with_backend(std::move(cfg), fleet)) {}
+      : serve::QueryService(engine, fleet, cfg) {}
 
   serve::QueryService& service() { return *this; }
-
- private:
-  static Config with_backend(Config cfg, Fleet& fleet) {
-    cfg.backend = &fleet;
-    return cfg;
-  }
 };
 
 }  // namespace tcgpu::fleet

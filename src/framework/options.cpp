@@ -145,8 +145,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opt.queries = parse_u64(value, "queries");
     } else if (take_flag(arg, "check-picks", &value)) {
       opt.check_picks = value;
-    } else if (arg == "--fleet") {
-      opt.fleet = true;
     } else if (take_flag(arg, "check-placements", &value)) {
       opt.check_placements = value;
     } else if (take_flag(arg, "mutations", &value)) {

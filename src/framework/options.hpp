@@ -43,26 +43,21 @@ struct BenchOptions {
   /// "dataset:algorithm,..." — pinned selector decisions the serve bench
   /// asserts after warmup (CI regression gate); "" = no assertion.
   std::string check_picks;
+  /// "dataset:placement,..." — pinned placer decisions, asserted the same
+  /// way at one --gpus=N fleet size; "" = no assertion.
+  std::string check_placements;
 
   /// Streaming benches only (src/stream/): churn-workload shape.
   std::uint64_t mutations = 0;            ///< total edge ops; 0 = bench default
   std::vector<std::uint64_t> stream_batch;  ///< batch sizes to sweep; empty = default
   std::size_t snapshots = 0;              ///< snapshot history depth; 0 = default
 
-  /// Fleet mode (bench/serve_throughput --fleet): closed-loop mixed-traffic
-  /// serving against fleet::FleetService, sweeping the device count
-  /// (M = 1,2,4,8 unless --gpus pins one).
-  bool fleet = false;
-  /// "dataset:placement,..." — pinned placer decisions the fleet bench
-  /// asserts after warmup (CI drift gate, like check_picks); "" = none.
-  std::string check_placements;
-
   /// Parses argv (flags: --max-edges=N --seed=N --full --csv --json
   /// --gpu=NAME --datasets=a,b,c --algos=a,b,c --algo=NAME --jobs=N
   /// --serial --max-resident=N --gpus=N --partition=range|hash|2d|host
   /// --hosts=H or HxD --interconnect=NAME
   /// --clients=N --queries=N --check-picks=ds:algo,...
-  /// --fleet --check-placements=ds:placement,...
+  /// --check-placements=ds:placement,...
   /// --mutations=N --stream-batch=a,b,c --snapshots=N) with
   /// TCGPU_EDGE_CAP / TCGPU_SEED / TCGPU_JOBS as fallbacks.
   /// Unknown flags, unknown --datasets/--algos names and malformed numbers

@@ -29,7 +29,22 @@ std::uint64_t edges_hash(const graph::Coo& coo) {
   return h;
 }
 
+/// Same-graph queries a worker fuses into one batch.
+constexpr std::size_t kMaxBatch = 32;
+
 QueryTrace::TimePoint now() { return QueryTrace::Clock::now(); }
+
+/// A stream snapshot as a graph the fleet can run. Built outside the
+/// engine's prepare cache, so its device images are the service's to release.
+framework::Engine::GraphHandle materialize(const stream::Snapshot& snap,
+                                           std::string name) {
+  auto pg = std::make_shared<framework::PreparedGraph>();
+  pg->name = std::move(name);
+  pg->stats = snap.stats();
+  pg->dag = snap.materialize_dag();
+  pg->reference_triangles = snap.triangles();
+  return pg;
+}
 
 /// Absolute deadline as a monotone EDF tick (microseconds since the clock
 /// epoch); 0 = no deadline.
@@ -64,7 +79,7 @@ struct QueryService::Pending {
   std::string key;   ///< batching key: dataset name or inline content hash;
                      ///< version-pinned queries append "@vN" so they never
                      ///< share a batch with head queries of the dataset
-  std::string pick;  ///< pick/backend key: the bare graph identity (no @vN —
+  std::string pick;  ///< pick/fleet key: the bare graph identity (no @vN —
                      ///< PickKey and the result cache carry the version)
   QueryTrace trace;
   std::promise<QueryReply> promise;
@@ -77,18 +92,30 @@ struct QueryService::StreamState {
   std::mutex m;
   std::unique_ptr<stream::DynamicGraph> dyn;
   /// The current version's snapshot materialized as a PreparedGraph; its
-  /// pooled device image is released on the next version bump (and at
-  /// shutdown), so exactly one upload per dataset version stays live.
+  /// device images are released on the next version bump (and at shutdown),
+  /// so exactly one image per dataset version stays live.
   framework::Engine::GraphHandle materialized;
   std::uint64_t materialized_version = 0;
 };
 
 QueryService::QueryService(framework::Engine& engine, Config cfg)
+    : QueryService(engine,
+                   std::make_unique<fleet::Fleet>(engine, fleet::Fleet::Config{}),
+                   nullptr, cfg) {}
+
+QueryService::QueryService(framework::Engine& engine, fleet::Fleet& fleet,
+                           Config cfg)
+    : QueryService(engine, nullptr, &fleet, cfg) {}
+
+QueryService::QueryService(framework::Engine& engine,
+                           std::unique_ptr<fleet::Fleet> own,
+                           fleet::Fleet* borrowed, Config cfg)
     : engine_(engine),
-      cfg_(cfg),
+      own_fleet_(std::move(own)),
+      fleet_(borrowed != nullptr ? *borrowed : *own_fleet_),
       selector_(Selector::Config{engine.config().spec}),
       queue_(cfg.default_policy) {
-  const std::size_t workers = std::max<std::size_t>(1, cfg_.workers);
+  const std::size_t workers = std::max<std::size_t>(1, cfg.workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -107,8 +134,8 @@ void QueryService::shutdown() {
   for (auto& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // Workers are gone: drop the streamed snapshots' pooled device images so
-  // the (longer-lived) engine does not keep dead uploads resident.
+  // Workers are gone: drop the streamed snapshots' device images so the
+  // (longer-lived) engine and fleet do not keep dead uploads resident.
   std::vector<std::shared_ptr<StreamState>> states;
   {
     std::lock_guard lk(mu_);
@@ -117,11 +144,8 @@ void QueryService::shutdown() {
   }
   for (auto& ss : states) {
     std::lock_guard slk(ss->m);
-    if (ss->materialized) {
-      engine_.release_device(ss->materialized);
-      ss->materialized.reset();
-      ss->materialized_version = 0;
-    }
+    if (ss->materialized) fleet_.release(ss->materialized);
+    ss->materialized.reset();
   }
 }
 
@@ -204,13 +228,11 @@ void QueryService::worker_loop() {
     std::vector<std::unique_ptr<Pending>> batch;
     batch.push_back(std::move(*item));
     const Pending& head = *batch.front();
-    if (cfg_.max_batch > 1) {
-      auto more = queue_.take_matching(
-          head.req.tenant,
-          [&key = head.key](const std::unique_ptr<Pending>& p) { return p->key == key; },
-          cfg_.max_batch - 1);
-      for (auto& p : more) batch.push_back(std::move(p));
-    }
+    auto more = queue_.take_matching(
+        head.req.tenant,
+        [&key = head.key](const std::unique_ptr<Pending>& p) { return p->key == key; },
+        kMaxBatch - 1);
+    for (auto& p : more) batch.push_back(std::move(p));
     process_batch(std::move(batch));
   }
 }
@@ -254,22 +276,17 @@ std::shared_ptr<QueryService::StreamState> QueryService::stream_state(
 framework::Engine::GraphHandle QueryService::stream_handle(
     StreamState& ss, const std::string& dataset, std::uint64_t* version) {
   // Caller holds ss.m. One materialization (and thus one device upload, on
-  // first run) per dataset version; the previous version's image is released
-  // the moment it goes stale.
+  // first run) per dataset version; the previous version's images are
+  // released the moment it goes stale.
   const auto snap = ss.dyn->snapshot();
   if (version != nullptr) *version = snap->version();
   if (ss.materialized && ss.materialized_version == snap->version()) {
     return ss.materialized;
   }
-  if (ss.materialized) engine_.release_device(ss.materialized);
-  auto pg = std::make_shared<framework::PreparedGraph>();
-  pg->name = dataset;
-  pg->stats = snap->stats();
-  pg->dag = snap->materialize_dag();
-  pg->reference_triangles = snap->triangles();
-  ss.materialized = pg;
+  if (ss.materialized) fleet_.release(ss.materialized);
+  ss.materialized = materialize(*snap, dataset);
   ss.materialized_version = snap->version();
-  return pg;
+  return ss.materialized;
 }
 
 void QueryService::handle_mutation(Pending& p, const std::string& label) {
@@ -296,8 +313,7 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
         // the same prepared DAG a count query would use.
         const auto seed = engine_.prepare(p.req.dataset);
         ss->dyn = std::make_unique<stream::DynamicGraph>(
-            seed->dag, stream::DynamicGraph::Config{engine_.config().spec,
-                                                    cfg_.snapshots, 256});
+            seed->dag, stream::DynamicGraph::Config{engine_.config().spec});
       }
     } catch (const std::exception& e) {
       p.trace.prepare_done = now();
@@ -339,17 +355,14 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
     changed = cr.changed;
     new_version = cr.version;
     if (cr.changed) {
-      // The version bumped: every layer describing the old graph goes. The
-      // previous snapshot's pooled device image, the engine's cached
-      // prepares of the dataset (a cache hit would resurrect pre-mutation
-      // data), and the selector's folded refinement for the old stats.
-      if (ss->materialized) {
-        engine_.release_device(ss->materialized);
-        ss->materialized.reset();
-        ss->materialized_version = 0;
-      }
-      engine_.invalidate(p.req.dataset);
-      if (cfg_.backend != nullptr) cfg_.backend->invalidate(p.req.dataset);
+      // The version bumped: every layer describing the old graph goes —
+      // the old snapshot's device images; through the fleet, the engine's
+      // cached prepares of the dataset (a cache hit would resurrect
+      // pre-mutation data), their images, and the cached results and
+      // placements; and the selector's folded refinement for the old stats.
+      if (ss->materialized) fleet_.release(ss->materialized);
+      ss->materialized.reset();
+      fleet_.invalidate(p.req.dataset);
       selector_.forget(old_stats);
     }
 
@@ -426,10 +439,12 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
         if (!pinned_graph) {
           std::shared_ptr<const stream::Snapshot> snap;
           std::uint64_t head_version = 0;
+          std::size_t retained = 0;
           if (const auto ss = stream_state(head.req.dataset, /*create=*/false)) {
             std::lock_guard slk(ss->m);
             if (ss->dyn) {
               head_version = ss->dyn->version();
+              retained = ss->dyn->config().history;
               snap = ss->dyn->snapshot_at(want);
             }
           }
@@ -441,14 +456,10 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
             resolve_error = "version " + std::to_string(want) +
                             " outside history window (head v" +
                             std::to_string(head_version) + ", retained " +
-                            std::to_string(cfg_.snapshots) + ")";
+                            std::to_string(retained) + ")";
           } else {
-            auto pg = std::make_shared<framework::PreparedGraph>();
-            pg->name = head.key;  // "dataset@vN" labels traces and the pool
-            pg->stats = snap->stats();
-            pg->dag = snap->materialize_dag();
-            pg->reference_triangles = snap->triangles();
-            pinned_graph = pg;
+            // "dataset@vN" labels traces and the device pools.
+            pinned_graph = materialize(*snap, head.key);
           }
         }
         if (pinned_graph) {
@@ -545,36 +556,23 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
 
     p->trace.run_start = now();
     try {
-      framework::RunOutcome out;
-      bool cache_hit = false;
-      if (cfg_.backend != nullptr) {
-        ExecutionRequest er;
-        er.key = p->pick;
-        er.version = graph_version;
-        er.hint = p->req.hint;
-        er.algorithm = algo;
-        er.modeled = reply.modeled;
-        er.graph = graph;
-        ExecutionOutcome eo = cfg_.backend->execute(er);
-        out = std::move(eo.run);
-        cache_hit = eo.cache_hit;
-        reply.cache_hit = eo.cache_hit;
-        reply.sharded = eo.sharded;
-        reply.devices = eo.devices;
-        reply.comm_ms = eo.comm_ms;
-        reply.placement = eo.placement;
-      } else {
-        out = engine_.run(algo, graph);
-      }
+      const fleet::ExecutionOutcome out = fleet_.execute(
+          {.key = p->pick, .version = graph_version, .hint = p->req.hint,
+           .algorithm = algo, .modeled = reply.modeled, .graph = graph});
       p->trace.run_done = now();
-      reply.triangles = out.result.triangles;
-      reply.valid = out.valid;
-      reply.stats = out.result.total;
+      reply.triangles = out.run.result.triangles;
+      reply.valid = out.run.valid;
+      reply.stats = out.run.result.total;
+      reply.cache_hit = out.cache_hit;
+      reply.sharded = out.sharded;
+      reply.devices = out.devices;
+      reply.comm_ms = out.comm_ms;
+      reply.placement = out.placement;
       reply.status = QueryStatus::kOk;
-      if (!cache_hit) {
+      if (!out.cache_hit) {
         // A cache hit carries no fresh KernelStats; folding its synthetic
         // run back in would double-count the original observation.
-        selector_.observe(algo, graph->stats, out.result.total);
+        selector_.observe(algo, graph->stats, out.run.result.total);
       }
       if (from_stream) {
         std::lock_guard lk(mu_);
@@ -592,9 +590,9 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     finish(*p, std::move(reply));
   }
 
-  // One-shot graphs must not accumulate device images in the pool.
-  if (inline_graph) engine_.release_device(inline_graph);
-  if (pinned_graph) engine_.release_device(pinned_graph);
+  // One-shot graphs must not accumulate device images, single or sharded.
+  if (inline_graph) fleet_.release(inline_graph);
+  if (pinned_graph) fleet_.release(pinned_graph);
 }
 
 ServiceCounters QueryService::counters() const {

@@ -5,26 +5,28 @@
 // and per-tenant backpressure (block or shed); with one tenant it is a plain
 // bounded FIFO. Workers pop it directly and batch that tenant's queued
 // queries on the same graph into one prepare/upload, the Selector's cost
-// model picks the kernel per query (unless the query forces one), and the
-// Engine (or the configured ExecutionBackend) executes against its pooled
-// device image. Every reply carries the exact count, the chosen algorithm
-// with its modeled cost, the run's KernelStats, and a per-query trace
+// model picks the kernel per query (unless the query forces one), and a
+// fleet::Fleet executes it (result cache, then one warm device or a sharded
+// run) — a one-device fleet the service owns, or a borrowed M-device one.
+// Every reply carries the exact count, the chosen algorithm with its
+// modeled cost, the run's KernelStats, its placement, and a per-query trace
 // (enqueue → admit → prepare → select → run → reply).
 //
 // Long-running processes stay bounded: the Engine's prepared-graph cache is
-// LRU-capped (Engine::Config::max_resident / Engine::evict), and device
-// images of one-shot inline graphs are released after their batch.
+// LRU-capped (Engine::Config::max_resident / Engine::evict), and one-shot
+// graphs (inline, version-pinned) release their device images, single or
+// sharded, through the fleet after their batch.
 //
 // Mutations (DESIGN.md "Streaming & versioning"): a request may carry edge
 // inserts/removals for a named dataset. The first mutation moves the
 // dataset onto a stream::DynamicGraph; the batch commits as one delta
 // (inserts first, then removals) and bumps the dataset's version. A version
 // bump invalidates every stale layer — the Engine's cached prepares of the
-// dataset, the old snapshot's pooled device image, the Selector's folded
-// refinement for the old stats, and the sticky picks latched below the new
-// version. Count queries on a streamed dataset answer from the current
-// snapshot's materialized DAG (re-uploaded once per version, never
-// re-prepared from scratch).
+// dataset, the old snapshot's device images, the fleet's cached results and
+// placements, the Selector's folded refinement for the old stats, and the
+// sticky picks latched below the new version. Count queries on a streamed
+// dataset answer from the current snapshot's materialized DAG (re-uploaded
+// once per version, never re-prepared from scratch).
 //
 // Determinism contract: for a fixed workload set, selector decisions and
 // counts are reproducible. Decisions are latched per (graph, version, hint)
@@ -46,10 +48,10 @@
 #include <utility>
 #include <vector>
 
+#include "fleet/fleet.hpp"
 #include "framework/engine.hpp"
 #include "graph/coo.hpp"
 #include "graph/types.hpp"
-#include "serve/backend.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/selector.hpp"
 #include "serve/trace.hpp"
@@ -122,13 +124,12 @@ struct QueryReply {
   /// Mutation replies: triangle-count change this batch produced.
   std::int64_t delta_triangles = 0;
 
-  // Execution-backend (fleet) annotations; defaults describe the direct
-  // single-device engine path.
-  bool cache_hit = false;        ///< answered from the backend's result cache
+  // How the fleet executed a count query.
+  bool cache_hit = false;        ///< answered from the fleet's result cache
   bool sharded = false;          ///< kernel ran split across devices
   std::uint32_t devices = 1;     ///< shard count (1 = single device)
   double comm_ms = 0.0;          ///< modeled interconnect time (sharded only)
-  std::string placement;         ///< placer's decision label (fleet only)
+  std::string placement;         ///< "single" or "shard<k>:<strategy>[:<h>h]"
   std::string tenant;            ///< the request's tenant ("default" if empty)
 };
 
@@ -162,18 +163,16 @@ class QueryService {
     /// either blocks submit() (closed-loop clients) or resolves it at once
     /// with kRejected (load shedding).
     TenantPolicy default_policy;
-    std::size_t max_batch = 32;  ///< same-graph queries fused per batch
-    /// Snapshot history depth per streamed dataset (DynamicGraph::Config).
-    std::size_t snapshots = 4;
-    /// Execution backend; nullptr = direct Engine::run (bit-identical to the
-    /// pre-fleet single-device path). Borrowed; must outlive the service.
-    ExecutionBackend* backend = nullptr;
   };
 
   /// Borrows the engine (graph cache, device pool, validation); the engine
-  /// must outlive the service. Algorithm universe = selector's models.
+  /// must outlive the service. Runs on a one-device fleet the service owns.
+  /// Algorithm universe = selector's models.
   explicit QueryService(framework::Engine& engine) : QueryService(engine, Config{}) {}
   QueryService(framework::Engine& engine, Config cfg);
+  /// Runs on a borrowed fleet built over the same engine; both must outlive
+  /// the service.
+  QueryService(framework::Engine& engine, fleet::Fleet& fleet, Config cfg);
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -195,8 +194,6 @@ class QueryService {
   ServiceCounters counters() const;
   std::map<std::string, TenantStats> tenant_stats() const;
   const Selector& selector() const { return selector_; }
-  framework::Engine& engine() { return engine_; }
-  const Config& config() const { return cfg_; }
 
   /// The latched (graph key, version, hint) -> algorithm decision table,
   /// sorted by key — what bench/serve_throughput prints and CI pins.
@@ -211,6 +208,9 @@ class QueryService {
   struct Pending;      ///< one queued query: request + trace + promise
   struct StreamState;  ///< per-dataset DynamicGraph + materialized handle
 
+  QueryService(framework::Engine& engine, std::unique_ptr<fleet::Fleet> own,
+               fleet::Fleet* borrowed, Config cfg);
+
   void worker_loop();
   void process_batch(std::vector<std::unique_ptr<Pending>> batch);
   void finish(Pending& p, QueryReply reply);
@@ -222,7 +222,8 @@ class QueryService {
                                                std::uint64_t* version);
 
   framework::Engine& engine_;
-  Config cfg_;
+  std::unique_ptr<fleet::Fleet> own_fleet_;  ///< null when borrowed
+  fleet::Fleet& fleet_;
   Selector selector_;
 
   Scheduler<std::unique_ptr<Pending>> queue_;

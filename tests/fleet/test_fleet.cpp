@@ -9,6 +9,7 @@
 
 #include "fleet/placer.hpp"
 #include "fleet/service.hpp"
+#include "gen/er.hpp"
 #include "serve/selector.hpp"
 #include "serve/service.hpp"
 
@@ -38,40 +39,31 @@ simt::InterconnectSpec free_link() {
   return net;
 }
 
-// --- M=1 bit-identity against the backend-less service ---------------------
+// --- M=1: a served reply is one plain engine run ----------------------------
 
-TEST(FleetIdentity, SingleDeviceMatchesPlainServiceExactly) {
-  const std::vector<std::string> datasets = {"As-Caida", "Email-EuAll",
-                                             "P2p-Gnutella31"};
+TEST(FleetIdentity, SingleDeviceReplyMatchesDirectEngineRun) {
+  framework::Engine engine(small_engine());
+  serve::QueryService service(engine);  // its own one-device fleet
+  framework::Engine direct(small_engine());
+  const serve::Selector apriori(serve::Selector::Config{direct.config().spec});
 
-  framework::Engine plain_engine(small_engine());
-  serve::QueryService plain(plain_engine);
-
-  framework::Engine fleet_engine(small_engine());
-  Fleet::Config fc;
-  fc.devices = 1;
-  Fleet fleet(fleet_engine, fc);
-  serve::QueryService::Config sc;
-  sc.backend = &fleet;
-  serve::QueryService backed(fleet_engine, sc);
-
-  for (const auto& name : datasets) {
-    const auto a = plain.submit(dataset_query(name)).get();
-    const auto b = backed.submit(dataset_query(name)).get();
-    ASSERT_EQ(a.status, serve::QueryStatus::kOk) << name;
-    ASSERT_EQ(b.status, serve::QueryStatus::kOk) << name;
-    // Same pick, same count, same modeled score, same simulated KernelStats
-    // — the M=1 fleet path runs the identical Engine::run.
-    EXPECT_EQ(a.algorithm, b.algorithm) << name;
-    EXPECT_EQ(a.triangles, b.triangles) << name;
-    EXPECT_EQ(a.modeled.modeled_ms, b.modeled.modeled_ms) << name;
-    EXPECT_EQ(a.stats, b.stats) << name;  // bit-level KernelStats equality
-    EXPECT_TRUE(b.valid) << name;
-    EXPECT_FALSE(b.sharded) << name;
-    EXPECT_EQ(b.placement, "single") << name;
+  for (const std::string name : {"As-Caida", "Email-EuAll", "P2p-Gnutella31"}) {
+    const auto reply = service.submit(dataset_query(name)).get();
+    ASSERT_EQ(reply.status, serve::QueryStatus::kOk) << name;
+    const auto pg = direct.prepare(name);
+    // The pick is the selector's a-priori choice for the graph...
+    const auto pick = apriori.choose(pg->stats);
+    EXPECT_EQ(reply.algorithm, pick.algorithm) << name;
+    EXPECT_EQ(reply.modeled.modeled_ms, pick.cost.modeled_ms) << name;
+    // ...and the count and simulated KernelStats are those of one plain
+    // Engine::run of it, bit for bit.
+    const auto run = direct.run(reply.algorithm, pg);
+    EXPECT_EQ(reply.triangles, run.result.triangles) << name;
+    EXPECT_EQ(reply.stats, run.result.total) << name;
+    EXPECT_TRUE(reply.valid) << name;
+    EXPECT_FALSE(reply.sharded) << name;
+    EXPECT_EQ(reply.placement, "single") << name;
   }
-  EXPECT_EQ(plain.decision_table(), backed.decision_table());
-  EXPECT_EQ(fleet.counters().sharded_runs, 0u);
 }
 
 // --- placement --------------------------------------------------------------
@@ -89,8 +81,7 @@ TEST(FleetPlacement, TableIsDeterministicAcrossWorkerCounts) {
     Fleet fleet(engine, fc);
     serve::QueryService::Config sc;
     sc.workers = workers;
-    sc.backend = &fleet;
-    serve::QueryService service(engine, sc);
+    serve::QueryService service(engine, fleet, sc);
     // Concurrent submissions; placement must not depend on arrival order.
     std::vector<std::future<serve::QueryReply>> futures;
     for (int round = 0; round < 3; ++round) {
@@ -113,9 +104,7 @@ TEST(FleetPlacement, ShardedRunCountsExactly) {
   fc.min_speedup = 1.0;
   fc.interconnect = free_link();
   Fleet fleet(engine, fc);
-  serve::QueryService::Config sc;
-  sc.backend = &fleet;
-  serve::QueryService service(engine, sc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
 
   const auto reply = service.submit(dataset_query("As-Caida")).get();
   ASSERT_EQ(reply.status, serve::QueryStatus::kOk);
@@ -143,9 +132,7 @@ TEST(FleetPlacement, TinyKernelsStaySingle) {
   Fleet::Config fc;
   fc.devices = 8;  // plenty of peers, but nothing clears the admission bar
   Fleet fleet(engine, fc);
-  serve::QueryService::Config sc;
-  sc.backend = &fleet;
-  serve::QueryService service(engine, sc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
   const auto reply = service.submit(dataset_query("As-Caida")).get();
   ASSERT_EQ(reply.status, serve::QueryStatus::kOk);
   EXPECT_FALSE(reply.sharded);
@@ -232,7 +219,7 @@ TEST(PlacerCluster, FastInterLinkGoesWideAndLabelsTheHosts) {
   EXPECT_EQ(wide.describe(), "shard8:range:2h");
 }
 
-TEST(FleetPlacement, LoadAwareDefaultsOffAndOffTableIsLoadBlind) {
+TEST(FleetPlacement, TableIsLoadBlind) {
   // Fleets latch the same placement table no matter how much (or how
   // unevenly) traffic preceded each decision — the contract the CI
   // placement pins rely on. Run the same datasets through two fleets with
@@ -251,9 +238,8 @@ TEST(FleetPlacement, LoadAwareDefaultsOffAndOffTableIsLoadBlind) {
 
   framework::Engine cold_engine(small_engine());
   Fleet cold(cold_engine, make_config());
-  serve::QueryService::Config sc_cold;
-  sc_cold.backend = &cold;
-  serve::QueryService cold_service(cold_engine, sc_cold);
+  serve::QueryService cold_service(cold_engine, cold,
+                                   serve::QueryService::Config{});
   for (const auto& name : datasets) {
     ASSERT_EQ(cold_service.submit(dataset_query(name)).get().status,
               serve::QueryStatus::kOk);
@@ -261,9 +247,8 @@ TEST(FleetPlacement, LoadAwareDefaultsOffAndOffTableIsLoadBlind) {
 
   framework::Engine hot_engine(small_engine());
   Fleet hot(hot_engine, make_config());
-  serve::QueryService::Config sc_hot;
-  sc_hot.backend = &hot;
-  serve::QueryService hot_service(hot_engine, sc_hot);
+  serve::QueryService hot_service(hot_engine, hot,
+                                  serve::QueryService::Config{});
   // Pile work onto the hot fleet's slots before each new dataset decides.
   for (const auto& name : datasets) {
     for (int round = 0; round < 3; ++round) {
@@ -292,9 +277,7 @@ TEST(FleetCache, RepeatHitsSkipTheDeviceAndMutationInvalidates) {
   Fleet::Config fc;
   fc.devices = 2;
   Fleet fleet(engine, fc);
-  serve::QueryService::Config sc;
-  sc.backend = &fleet;
-  serve::QueryService service(engine, sc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
 
   const auto first = service.submit(dataset_query("As-Caida")).get();
   ASSERT_EQ(first.status, serve::QueryStatus::kOk);
@@ -323,6 +306,59 @@ TEST(FleetCache, RepeatHitsSkipTheDeviceAndMutationInvalidates) {
   EXPECT_TRUE(after.valid);
 }
 
+// --- release: no shard image outlives its graph -----------------------------
+
+TEST(FleetRelease, ShardImagesOfOneShotAndStaleGraphsAreFreed) {
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  fc.devices = 4;
+  fc.shard_min_kernel_ms = 0.0;
+  fc.min_speedup = 1.0;
+  fc.interconnect = free_link();
+  Fleet fleet(engine, fc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
+
+  // Stale graphs: each commit makes the counted graph stale (first the
+  // engine's cached v0 prepare, then each materialized head), and its reply
+  // is sent after the stale shard images are gone — only the live head's
+  // stay pooled.
+  const auto v = engine.prepare("Com-Dblp")->stats.num_vertices;
+  ASSERT_TRUE(service.submit(dataset_query("Com-Dblp")).get().sharded);
+  ASSERT_EQ(fleet.sharded_graphs(), 1u);
+  for (graph::VertexId i = 0; i < 5; ++i) {
+    auto grow = dataset_query("Com-Dblp");
+    grow.insert_edges = {{v + 2 * i, v + 2 * i + 1}};
+    ASSERT_EQ(service.submit(std::move(grow)).get().status,
+              serve::QueryStatus::kOk);
+    const auto count = service.submit(dataset_query("Com-Dblp")).get();
+    ASSERT_EQ(count.status, serve::QueryStatus::kOk);
+    EXPECT_TRUE(count.sharded);
+    EXPECT_TRUE(count.valid);
+    EXPECT_EQ(fleet.sharded_graphs(), 1u) << "after round " << i;
+  }
+
+  // One-shot graphs: inline queries and a version-pinned read drop their
+  // shard images when their batch ends.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    serve::QueryRequest req;
+    req.edges = gen::generate_er(300, 2'000, seed);
+    const auto reply = service.submit(std::move(req)).get();
+    ASSERT_EQ(reply.status, serve::QueryStatus::kOk);
+    EXPECT_TRUE(reply.sharded);
+    EXPECT_TRUE(reply.valid);
+  }
+  auto pinned = dataset_query("Com-Dblp");
+  pinned.version = 4;
+  const auto old = service.submit(std::move(pinned)).get();
+  ASSERT_EQ(old.status, serve::QueryStatus::kOk);
+  EXPECT_TRUE(old.sharded);
+
+  // Shutdown joins the workers, so every batch-end release has run, and
+  // drops the live head: nothing is left.
+  service.shutdown();
+  EXPECT_EQ(fleet.sharded_graphs(), 0u);
+}
+
 // --- device slots / capacity ------------------------------------------------
 
 TEST(FleetSlots, CapacityBoundEvictsColdImages) {
@@ -347,9 +383,7 @@ TEST(FleetSlots, CapacityBoundEvictsColdImages) {
   fc.devices = 1;
   fc.device_capacity_bytes = total_bytes - 1;
   Fleet fleet(engine, fc);
-  serve::QueryService::Config sc;
-  sc.backend = &fleet;
-  serve::QueryService service(engine, sc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
 
   for (const auto& name : datasets) {
     ASSERT_EQ(service.submit(dataset_query(name)).get().status,

@@ -67,6 +67,24 @@ TEST(ServiceBasics, InlineEdgeListQueryCounts) {
   EXPECT_GT(reply.triangles, 0u);
 }
 
+TEST(ServiceCache, RepeatQueryIsAnsweredFromTheResultCache) {
+  framework::Engine engine(small_engine());
+  QueryService service(engine);
+  const auto first = service.submit(dataset_query("As-Caida")).get();
+  ASSERT_EQ(first.status, QueryStatus::kOk);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(first.placement, "single");
+
+  const auto repeat = service.submit(dataset_query("As-Caida")).get();
+  ASSERT_EQ(repeat.status, QueryStatus::kOk);
+  EXPECT_TRUE(repeat.cache_hit);
+  EXPECT_EQ(repeat.placement, "single");
+  EXPECT_EQ(repeat.algorithm, first.algorithm);
+  EXPECT_EQ(repeat.triangles, first.triangles);
+  EXPECT_TRUE(repeat.valid);
+  EXPECT_EQ(engine.counters().cells, 1u);  // no second kernel run
+}
+
 TEST(ServiceErrors, TerminalStatusesNeverAbandonTheFuture) {
   framework::Engine engine(small_engine());
   QueryService service(engine);
