@@ -2,7 +2,7 @@
 // individually disabled, the chunk/block size, and the flip-ratio threshold
 // of the search-table flip heuristic whose exact value the paper leaves to
 // "empirical evidence". Run on a medium dataset (default As-Skitter).
-// All variants share one engine-resident graph: one prepare, one upload.
+// All variants share one engine-prepared graph: one prepare, one upload per run.
 #include <iostream>
 
 #include "framework/engine.hpp"

@@ -1,7 +1,7 @@
 // Ablation of TRUST's degree-split heuristic (§III-H): the block/warp
 // out-degree threshold (paper: 100) and the hash bucket counts
 // (paper: 1024 for blocks, 32 for warps).
-// All variants share one engine-resident graph: one prepare, one upload.
+// All variants share one engine-prepared graph: one prepare, one upload per run.
 #include <iostream>
 
 #include "framework/engine.hpp"

@@ -1,7 +1,7 @@
 // The unified testing framework in action: run all nine algorithms on one
 // of the paper's datasets and print a Figure-11-style comparison row with
 // the profiling metrics of Figures 12/13. The engine prepares the dataset
-// once and shares its device-resident DAG across all nine runs.
+// once and shares the prepared DAG across all nine runs.
 //
 //   $ ./compare_algorithms                         # As-Skitter, capped
 //   $ ./compare_algorithms --datasets=Com-Dblp

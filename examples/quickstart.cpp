@@ -7,8 +7,8 @@
 // The same four steps work for any algorithm in the registry and any graph
 // you can express as an edge list: make an engine -> prepare (clean, orient,
 // reference-count; cached) -> run by algorithm name -> inspect. The engine
-// keeps the prepared graph and its device-resident DAG around, so further
-// runs on the same graph skip straight to the kernel.
+// keeps the prepared graph around, so further runs on the same graph skip
+// the CPU pipeline; each run uploads the DAG to a fresh simulated device.
 #include <cstdio>
 
 #include "framework/engine.hpp"
@@ -17,7 +17,7 @@
 int main() {
   using namespace tcgpu;
 
-  // 1. The execution engine: prepared-graph cache + device-graph pool +
+  // 1. The execution engine: prepared-graph cache + per-run upload +
   //    validation, on a simulated V100 by default.
   framework::Engine engine;
 
@@ -33,8 +33,8 @@ int main() {
               static_cast<unsigned long long>(pg->stats.num_undirected_edges),
               pg->stats.avg_degree);
 
-  // 3. Run any of the nine registered algorithms by name; the DAG is
-  //    uploaded once and shared by every run on this graph.
+  // 3. Run any of the nine registered algorithms by name; the run uploads
+  //    the DAG to a fresh device and frees it when it returns.
   const auto outcome = engine.run("GroupTC", pg);
 
   // 4. Results: exact count, validated against the CPU reference, plus the

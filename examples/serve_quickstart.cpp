@@ -20,7 +20,7 @@
 int main() {
   using namespace tcgpu;
 
-  // 1. Engine (graph cache + device pool) and the service on top of it.
+  // 1. Engine (graph cache + per-run upload) and the service on top of it.
   framework::Engine engine;
   serve::QueryService service(engine);
 
@@ -42,7 +42,7 @@ int main() {
   }
 
   // 3. A concurrent burst across three graphs, sent twice. Same-graph
-  //    queries are batched onto one prepare/upload and each graph gets its
+  //    queries are batched onto one prepare and each graph gets its
   //    own winner; the second round is answered from the result cache
   //    without running a kernel.
   std::printf("\n%-6s %-10s %-8s %-10s %-6s %s\n", "round", "dataset",
@@ -69,7 +69,7 @@ int main() {
   }
 
   const auto c = service.counters();
-  std::printf("\nserved %llu queries in %llu prepare/upload batches\n",
+  std::printf("\nserved %llu queries in %llu prepare batches\n",
               static_cast<unsigned long long>(c.served),
               static_cast<unsigned long long>(c.batches));
   return engine.exit_code();

@@ -45,8 +45,9 @@ int main() {
               to_string(delta.status));
 
   // 3. Counting again answers from the new version's snapshot: the DAG is
-  //    re-uploaded once, the selector re-scores from the updated stats, and
-  //    the full kernel run agrees with the maintained count.
+  //    materialized once per version, the selector re-scores from the
+  //    updated stats, and the full kernel run agrees with the maintained
+  //    count.
   serve::QueryRequest recount;
   recount.dataset = dataset;
   auto after = service.submit(std::move(recount)).get();

@@ -1,24 +1,11 @@
 #include "dist/runner.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "framework/registry.hpp"
 
 namespace tcgpu::dist {
-
-/// One pooled multi-device image: the partitioning plus each shard uploaded
-/// to its own device. Marks record the post-upload allocation state so
-/// per-run scratch continues each shard's address layout — on N == 1 that
-/// reproduces the single-device engine's address stream exactly.
-struct MultiDeviceRunner::ShardSet {
-  framework::Engine::GraphHandle keepalive;  ///< set once, under pool_mu_
-  std::mutex m;
-  bool ready = false;
-  Partitioning parts;
-  std::vector<std::unique_ptr<simt::Device>> devices;
-  std::vector<tc::DeviceGraph> graphs;
-  std::vector<simt::Device::Mark> marks;
-};
 
 MultiDeviceRunner::MultiDeviceRunner(framework::Engine& engine,
                                      MultiRunConfig cfg)
@@ -26,54 +13,13 @@ MultiDeviceRunner::MultiDeviceRunner(framework::Engine& engine,
       cfg_(std::move(cfg)),
       net_(cfg_.cluster, cfg_.cluster.num_devices()) {}
 
-std::shared_ptr<MultiDeviceRunner::ShardSet> MultiDeviceRunner::acquire_shards(
-    const framework::Engine::GraphHandle& graph) {
-  std::shared_ptr<ShardSet> set;
-  {
-    std::lock_guard lk(pool_mu_);
-    auto& slot = pool_[graph.get()];
-    if (!slot) {
-      slot = std::make_shared<ShardSet>();
-      slot->keepalive = graph;
-    }
-    set = slot;
-  }
-  std::lock_guard lk(set->m);
-  if (!set->ready) {
-    const Partitioner p(cfg_.strategy, net_.num_devices(),
-                        engine_.config().seed, cfg_.cluster.hosts);
-    set->parts = p.partition(graph->dag);
-    for (const Shard& s : set->parts.shards) {
-      auto dev = std::make_unique<simt::Device>();
-      set->graphs.push_back(tc::DeviceGraph::upload_shard(
-          *dev, s.csr, s.edge_u, s.edge_v, s.anchors, s.use_anchor_list));
-      set->marks.push_back(dev->mark());
-      set->devices.push_back(std::move(dev));
-    }
-    set->ready = true;
-  }
-  return set;
-}
-
-double MultiDeviceRunner::baseline_ms(const tc::TriangleCounter& algo,
-                                      const framework::Engine::GraphHandle& graph) {
-  const auto key = std::make_pair(
-      static_cast<const framework::PreparedGraph*>(graph.get()), algo.name());
-  {
-    std::lock_guard lk(baseline_mu_);
-    const auto it = baselines_.find(key);
-    if (it != baselines_.end()) return it->second;
-  }
-  const double ms = engine_.run(algo, graph).result.total.time_ms;
-  std::lock_guard lk(baseline_mu_);
-  return baselines_.emplace(key, ms).first->second;
-}
-
 MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
                                       const framework::Engine::GraphHandle& graph) {
-  const auto set = acquire_shards(graph);
   const simt::GpuSpec& spec = engine_.config().spec;
   const std::uint32_t n = net_.num_devices();
+  const Partitioning parts =
+      Partitioner(cfg_.strategy, n, engine_.config().seed, cfg_.cluster.hosts)
+          .partition(graph->dag);
 
   MultiRunResult out;
   out.algorithm = algo.name();
@@ -81,15 +27,20 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
   out.num_devices = n;
   out.hosts = cfg_.cluster.hosts;
   out.strategy = cfg_.strategy;
-  out.partition = set->parts.report;
+  out.partition = parts.report;
 
   // ---- per-shard kernels (devices run in parallel; wall time is the max) ---
   std::vector<std::vector<std::uint64_t>> bytes(n), rows(n);
   for (std::uint32_t d = 0; d < n; ++d) {
-    const Shard& shard = set->parts.shards[d];
-    simt::Device scratch(set->marks[d].next_base);
-    const framework::RunOutcome run = framework::run_on_device(
-        algo, *graph, set->graphs[d], scratch, spec);
+    // Each shard on its own fresh device: on N == 1 this is Engine::run's
+    // address stream exactly.
+    const Shard& shard = parts.shards[d];
+    simt::Device dev;
+    const tc::DeviceGraph dg = tc::DeviceGraph::upload_shard(
+        dev, shard.csr, shard.edge_u, shard.edge_v, shard.anchors,
+        shard.use_anchor_list);
+    const framework::RunOutcome run =
+        framework::run_on_device(algo, *graph, dg, dev, spec);
 
     DeviceRun dr;
     dr.device = d;
@@ -143,13 +94,13 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
   for (const DeviceRun& dr : out.devices) sum_ms += dr.stats.time_ms;
   if (sum_ms > 0.0) out.load_imbalance = out.device_ms * n / sum_ms;
   if (cfg_.measure_baseline) {
-    out.single_device_ms = baseline_ms(algo, graph);
+    out.single_device_ms = engine_.run(algo, graph).result.total.time_ms;
     if (out.total_ms > 0.0) out.speedup = out.single_device_ms / out.total_ms;
   }
 
   out.valid = out.triangles == graph->reference_triangles;
   if (!out.valid) {
-    std::lock_guard lk(baseline_mu_);
+    std::lock_guard lk(mu_);
     all_valid_ = false;
   }
   return out;
@@ -160,25 +111,8 @@ MultiRunResult MultiDeviceRunner::run(const std::string& algorithm,
   return run(*framework::make_algorithm(algorithm), graph);
 }
 
-bool MultiDeviceRunner::release(const framework::Engine::GraphHandle& graph) {
-  std::lock_guard lk(pool_mu_);
-  return pool_.erase(graph.get()) != 0;
-}
-
-std::size_t MultiDeviceRunner::invalidate(const std::string& name) {
-  std::lock_guard lk(pool_mu_);
-  return std::erase_if(pool_, [&](const auto& entry) {
-    return entry.second->keepalive->name == name;
-  });
-}
-
-std::size_t MultiDeviceRunner::resident_graphs() const {
-  std::lock_guard lk(pool_mu_);
-  return pool_.size();
-}
-
 bool MultiDeviceRunner::all_valid() const {
-  std::lock_guard lk(baseline_mu_);
+  std::lock_guard lk(mu_);
   return all_valid_;
 }
 

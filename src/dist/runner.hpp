@@ -1,10 +1,10 @@
 // Simulated multi-GPU / multi-node execution of the single-device ITC
 // kernels.
 //
-// MultiDeviceRunner shards a prepared graph with a Partitioner, keeps one
-// resident device image per shard (the same pooled-upload + based-scratch
-// discipline framework::Engine uses for single-device runs), launches the
-// unmodified kernel on every shard, and models what the real systems pay
+// MultiDeviceRunner shards a prepared graph with a Partitioner, uploads
+// each shard to its own fresh device for the run (as framework::Engine::run
+// does for one device; nothing outlives the run), launches the unmodified
+// kernel on every shard, and models what the real systems pay
 // on top of compute: a ghost-row scatter before the kernels and an
 // all-reduce of the per-device counts after them, both priced by
 // simt::ClusterInterconnect on the configured simt::ClusterSpec (one host
@@ -22,11 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dist/partition.hpp"
@@ -41,7 +38,7 @@ struct MultiRunConfig {
   /// one-host shape.
   simt::ClusterSpec cluster;
   PartitionStrategy strategy = PartitionStrategy::kRange;
-  /// Run the whole-graph single-device baseline per (graph, algorithm) for
+  /// Run the whole-graph single-device baseline on every run for
   /// single_device_ms / speedup. The scaling benches want it; the fleet's
   /// serving path turns it off — it already has the selector's model and
   /// must not pay an extra full kernel per placed query.
@@ -107,44 +104,24 @@ class MultiDeviceRunner {
   /// std::invalid_argument when the cluster has no host or no device.
   MultiDeviceRunner(framework::Engine& engine, MultiRunConfig cfg);
 
-  /// Shards the graph (once per graph, pooled), runs the algorithm on every
-  /// shard, and aggregates. Thread-safe; an aggregate mismatch against the
-  /// CPU reference latches all_valid().
+  /// Partitions the graph, uploads every shard, runs the algorithm on each
+  /// and aggregates; the shard images are freed on return. Thread-safe; an
+  /// aggregate mismatch against the CPU reference latches all_valid().
   MultiRunResult run(const tc::TriangleCounter& algo,
                      const framework::Engine::GraphHandle& graph);
   /// Same, by registry name.
   MultiRunResult run(const std::string& algorithm,
                      const framework::Engine::GraphHandle& graph);
 
-  /// Drops one graph's pooled shard images (in-flight runs keep theirs) —
-  /// the twin of Engine::release_device. False if none were pooled.
-  bool release(const framework::Engine::GraphHandle& graph);
-  /// Same for every graph named `name`; returns how many were dropped.
-  std::size_t invalidate(const std::string& name);
-  std::size_t resident_graphs() const;  ///< graphs with pooled shards
-
   const MultiRunConfig& config() const { return cfg_; }
   bool all_valid() const;
 
  private:
-  /// Resident images of one graph's shards (analogue of Engine::Resident).
-  struct ShardSet;
-
-  std::shared_ptr<ShardSet> acquire_shards(
-      const framework::Engine::GraphHandle& graph);
-  double baseline_ms(const tc::TriangleCounter& algo,
-                     const framework::Engine::GraphHandle& graph);
-
   framework::Engine& engine_;
   MultiRunConfig cfg_;
   simt::ClusterInterconnect net_;
 
-  mutable std::mutex pool_mu_;  ///< guards pool_ map shape
-  std::map<const framework::PreparedGraph*, std::shared_ptr<ShardSet>> pool_;
-
-  mutable std::mutex baseline_mu_;  ///< guards baselines_ and all_valid_
-  std::map<std::pair<const framework::PreparedGraph*, std::string>, double>
-      baselines_;
+  mutable std::mutex mu_;  ///< guards all_valid_
   bool all_valid_ = true;
 };
 

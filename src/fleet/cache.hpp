@@ -8,9 +8,10 @@
 //
 //   * structurally, a mutated graph is queried at its NEW version, which is
 //     a different key and can never hit a stale entry;
-//   * explicitly, Fleet::invalidate(key) (called on every commit) drops all
-//     versions of the key, so stale entries do not linger and a version
-//     number reused across a service restart cannot resurrect them.
+//   * explicitly, Fleet::invalidate(key) (called on every commit, and at the
+//     end of every inline batch) drops all versions of the key, so stale
+//     entries do not linger and a version number reused across a service
+//     restart cannot resurrect them.
 #pragma once
 
 #include <cstdint>

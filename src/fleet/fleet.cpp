@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "framework/capacity.hpp"
-
 namespace tcgpu::fleet {
 
 namespace {
@@ -34,16 +32,8 @@ Fleet::Fleet(framework::Engine& engine, Config cfg)
       placer_(selector_,
               Placer::Config{cluster_, cfg.max_shards, cfg.strategy,
                              cfg.shard_min_kernel_ms, cfg.min_speedup}) {
-  const std::uint32_t n = cluster_.num_devices();
-  const std::uint64_t capacity =
-      cfg_.device_capacity_bytes != 0
-          ? cfg_.device_capacity_bytes
-          : framework::device_budget_bytes(engine_.config().spec);
-  slots_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    slots_[i].id = i;
-    slots_[i].capacity_bytes = capacity;
-  }
+  slots_.resize(cluster_.num_devices());
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) slots_[i].id = i;
 }
 
 Placement Fleet::placement_for(const ExecutionRequest& req) {
@@ -86,40 +76,14 @@ dist::MultiDeviceRunner& Fleet::runner_for(std::uint32_t shards) {
 }
 
 ExecutionOutcome Fleet::run_single(const ExecutionRequest& req) {
-  std::uint32_t slot_id = 0;
-  {
-    // Bind to the slot already holding this graph's image (warm), else the
-    // least-busy one (ties to the lowest id).
-    std::lock_guard lk(mu_);
-    const DeviceSlot* best = nullptr;
-    for (const DeviceSlot& s : slots_) {
-      if (s.holds(req.key)) {
-        best = &s;
-        break;
-      }
-    }
-    if (best == nullptr) {
-      for (const DeviceSlot& s : slots_) {
-        if (best == nullptr || s.busy_ms < best->busy_ms) best = &s;
-      }
-    }
-    slot_id = best->id;
-  }
-
   ExecutionOutcome out;
   out.run = engine_.run(req.algorithm, req.graph);
 
+  // Charge the least-busy slot (ties to the lowest id).
   std::lock_guard lk(mu_);
-  DeviceSlot& slot = slots_[slot_id];
-  // Residency is charged only for durable images — ones whose pooled name
-  // IS the request key (registry datasets, streamed heads). One-shot graphs
-  // (inline queries, version-pinned snapshots) release their upload when
-  // their batch ends; charging them would leave the slot holding bytes the
-  // engine already freed.
-  if (req.graph->name == req.key) {
-    const std::uint64_t bytes = engine_.device_image_bytes(req.graph);
-    if (bytes != 0) slot.admit(req.key, bytes);
-  }
+  DeviceSlot& slot = *std::min_element(
+      slots_.begin(), slots_.end(),
+      [](const DeviceSlot& a, const DeviceSlot& b) { return a.busy_ms < b.busy_ms; });
   slot.busy_ms += out.run.result.total.time_ms;
   ++slot.runs;
   ++counters_.single_runs;
@@ -192,12 +156,6 @@ ExecutionOutcome Fleet::execute(const ExecutionRequest& req) {
   return out;
 }
 
-void Fleet::release(const framework::Engine::GraphHandle& graph) {
-  engine_.release_device(graph);
-  std::lock_guard lk(mu_);
-  for (auto& [width, runner] : runners_) runner->release(graph);
-}
-
 void Fleet::invalidate(const std::string& key) {
   cache_.invalidate(key);
   engine_.invalidate(key);
@@ -207,8 +165,6 @@ void Fleet::invalidate(const std::string& key) {
        it != placements_.end() && it->first.first == key;) {
     it = placements_.erase(it);
   }
-  for (DeviceSlot& s : slots_) s.drop(key);
-  for (auto& [width, runner] : runners_) runner->invalidate(key);
 }
 
 std::vector<std::pair<std::string, std::string>> Fleet::placement_table()
@@ -230,13 +186,6 @@ std::vector<std::pair<std::string, std::string>> Fleet::placement_table()
 std::vector<DeviceSlot> Fleet::slots() const {
   std::lock_guard lk(mu_);
   return slots_;
-}
-
-std::size_t Fleet::sharded_graphs() const {
-  std::lock_guard lk(mu_);
-  std::size_t n = 0;
-  for (const auto& [width, runner] : runners_) n += runner->resident_graphs();
-  return n;
 }
 
 FleetCounters Fleet::counters() const {

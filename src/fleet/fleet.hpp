@@ -6,15 +6,15 @@
 //   1. the result cache (cache.hpp) — a repeat of a (graph, version, hint,
 //      kernel) question replays the validated count without touching a
 //      device; stream version bumps invalidate (Fleet::invalidate);
-//   2. the placer (placer.hpp) — single warm device vs sharding across the
+//   2. the placer (placer.hpp) — one device vs sharding across the
 //      modeled interconnect, latched per (graph key, version) so placement
 //      tables are deterministic and CI-pinnable like selector picks;
-//   3. dispatch — single-device runs bind to the slot already holding the
-//      graph's image (else the least-busy slot) and charge it the exact
-//      bytes the engine accounted; sharded runs go through a pooled
-//      dist::MultiDeviceRunner per width (baseline measurement off: the
-//      serving path must not pay an extra full kernel per query) and charge
-//      each participating slot its shard's kernel time.
+//   3. dispatch — a single-device run is one Engine::run charged to the
+//      least-busy slot; a sharded run goes through the width's
+//      dist::MultiDeviceRunner (baseline measurement off: the serving path
+//      must not pay an extra full kernel per query) and charges each
+//      participating slot its shard's kernel time. Either way the run
+//      uploads its own device images and frees them when it returns.
 //
 // The Config's devices / hosts / interconnect / inter fields describe one
 // simt::ClusterSpec, built once in the constructor; the placer prices every
@@ -44,7 +44,9 @@ struct FleetCounters {
   std::uint64_t single_runs = 0;   ///< queries executed on one device
   std::uint64_t sharded_runs = 0;  ///< queries executed split across devices
   std::uint64_t cache_hits = 0;    ///< queries answered without a kernel
-  std::uint64_t invalidations = 0; ///< invalidate() calls (version bumps)
+  /// invalidate() calls: one per commit that bumped a version, and one per
+  /// inline batch, which drops what the one-shot graph left behind.
+  std::uint64_t invalidations = 0;
 };
 
 /// One resolved query, ready to execute.
@@ -82,8 +84,6 @@ class Fleet {
     double shard_min_kernel_ms = 0.05;
     double min_speedup = 1.2;
     bool result_cache = true;
-    /// Per-device image budget; 0 = framework::device_budget_bytes(spec).
-    std::uint64_t device_capacity_bytes = 0;
     /// Hosts the devices spread over, in contiguous blocks of
     /// devices / hosts; must divide devices. `inter` links the hosts.
     std::uint32_t hosts = 1;
@@ -101,13 +101,9 @@ class Fleet {
   /// unknown algorithm).
   ExecutionOutcome execute(const ExecutionRequest& req);
 
-  /// Drops one graph's device images: the engine's and every width's
-  /// shards (in-flight runs keep theirs). For one-shot graphs after their
-  /// batch and for a streamed head a commit made stale.
-  void release(const framework::Engine::GraphHandle& graph);
-  /// After every commit of `key`: drops its cached results, placements and
-  /// slot charges (all versions), the engine's cached prepares of it, and
-  /// the shard images of every graph named `key`.
+  /// Drops everything kept under `key`: its cached results and placements
+  /// (all versions) and the engine's cached prepares of it. Called after
+  /// every commit of `key` and at the end of every inline batch.
   void invalidate(const std::string& key);
 
   /// The latched (graph key, version) -> placement table, sorted — what
@@ -115,10 +111,8 @@ class Fleet {
   /// the bare key, later versions as "key@vN".
   std::vector<std::pair<std::string, std::string>> placement_table() const;
 
-  /// Snapshot of the device slots (residency, busy time, runs).
+  /// Snapshot of the device slots (busy time, runs).
   std::vector<DeviceSlot> slots() const;
-  /// Graphs whose shard images are pooled, summed over widths.
-  std::size_t sharded_graphs() const;
 
   FleetCounters counters() const;
   CacheCounters cache_counters() const { return cache_.counters(); }

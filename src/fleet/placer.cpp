@@ -26,7 +26,7 @@ Placement Placer::decide(const std::string& algorithm,
   best.single_ms = single.modeled_ms;
   const std::uint32_t devices = cfg_.cluster.num_devices();
   if (devices < 2 || single.modeled_ms < cfg_.shard_min_kernel_ms) {
-    return best;  // small kernel or no peers: stay on one warm device
+    return best;  // small kernel or no peers: stay on one device
   }
   const std::uint32_t widest = std::min(devices, cfg_.max_shards);
   for (std::uint32_t k = 2; k <= widest; k *= 2) {

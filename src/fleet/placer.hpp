@@ -5,7 +5,7 @@
 // single-device modeled time against Selector::sharded_cost at each
 // admissible shard width (2, 4, ... up to the fleet size): the sub-linear
 // kernel speedup of an even 1/k work split against the interconnect's ghost
-// scatter + count all-reduce. Small graphs stay on one warm device — their
+// scatter + count all-reduce. Small graphs stay on one device — their
 // kernels finish before the first ghost byte would land — and only graphs
 // whose single-device time clears shard_min_kernel_ms AND whose modeled
 // sharded time wins by min_speedup shard out.

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "simt/gpu_spec.hpp"
-
 namespace tcgpu::framework {
 
 namespace {
@@ -35,12 +33,6 @@ double status_field_mb(const char* key, std::size_t key_len) {
 }
 
 }  // namespace
-
-std::uint64_t device_budget_bytes(const simt::GpuSpec& spec) {
-  constexpr std::uint64_t kGiB = 1ull << 30;
-  if (spec.name == "rtx4090") return 24 * kGiB;
-  return 16 * kGiB;  // v100 and unknown presets
-}
 
 double peak_rss_mb() { return status_field_mb("VmHWM:", 6); }
 

@@ -1,16 +1,13 @@
 // Host-capacity instrumentation for the billion-edge prepare pipeline:
 // peak resident set size (what bounds the largest loadable graph) and the
-// engine's cumulative device-upload volume (what bounds the largest
-// resident image). bench/table2_datasets and bench/prepare_throughput
-// report both; the emit() overload in framework/report.hpp appends them as
-// a capacity footer in every output format.
+// engine's cumulative device-upload volume (every run uploads its own
+// image, so this sums over runs). bench/table2_datasets and
+// bench/prepare_throughput report both; the emit() overload in
+// framework/report.hpp appends them as a capacity footer in every output
+// format.
 #pragma once
 
 #include <cstdint>
-
-namespace tcgpu::simt {
-struct GpuSpec;
-}
 
 namespace tcgpu::framework {
 
@@ -35,11 +32,5 @@ struct CapacityReport {
   double peak_rss_mb = 0.0;
   std::uint64_t bytes_uploaded = 0;
 };
-
-/// Modeled device-memory budget of one GPU, by spec name: what a
-/// fleet::DeviceSlot may hold in pooled graph images before it must evict
-/// (V100 16 GiB, RTX 4090 24 GiB, 16 GiB for unknown presets). Kept beside
-/// the host-capacity probes so every capacity constant lives in one place.
-std::uint64_t device_budget_bytes(const simt::GpuSpec& spec);
 
 }  // namespace tcgpu::framework

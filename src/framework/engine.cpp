@@ -23,19 +23,6 @@ struct Engine::CacheEntry {
   std::list<PrepareKey>::iterator lru_it;  ///< position in Engine::lru_
 };
 
-/// One pooled device image. `device` owns only the graph arrays; `mark` is
-/// the post-upload allocation state — per-run scratch devices are based at
-/// `mark.next_base` so algorithm scratch gets the same simulated addresses
-/// it would have had on a single fresh device holding graph + scratch.
-struct Engine::Resident {
-  std::mutex m;
-  bool ready = false;
-  GraphHandle keepalive;
-  simt::Device device;
-  tc::DeviceGraph graph;
-  simt::Device::Mark mark;
-};
-
 namespace {
 
 std::size_t resolve_workers(std::size_t requested) {
@@ -126,39 +113,14 @@ Engine::GraphHandle Engine::prepare_raw(std::string name, const graph::Coo& raw)
   return pg;
 }
 
-std::shared_ptr<Engine::Resident> Engine::acquire_resident(const GraphHandle& graph) {
-  std::shared_ptr<Resident> res;
-  {
-    std::lock_guard lk(pool_mu_);
-    auto& slot = pool_[graph.get()];
-    if (!slot) slot = std::make_shared<Resident>();
-    res = slot;
-  }
-  std::lock_guard lk(res->m);
-  if (!res->ready) {
-    res->keepalive = graph;
-    res->graph = tc::DeviceGraph::upload(res->device, graph->dag);
-    res->mark = res->device.mark();
-    res->ready = true;
-    std::lock_guard sl(stats_mu_);
-    ++counters_.uploads;
-    counters_.bytes_uploaded += res->mark.bytes_allocated;
-    counters_.bytes_resident += res->mark.bytes_allocated;
-  } else {
-    std::lock_guard sl(stats_mu_);
-    ++counters_.upload_hits;
-  }
-  return res;
-}
-
 bool Engine::evict_locked(const PrepareKey& key, bool force) {
   const auto it = cache_.find(key);
   if (it == cache_.end()) return false;
   const std::shared_ptr<CacheEntry> entry = it->second;
 
   // The entry latch orders us after any in-flight prepare of this key.
-  // Lock ordering stays cache_mu_ -> entry->m -> pool_mu_/stats_mu_; a
-  // preparing thread holds entry->m but never takes cache_mu_.
+  // Lock ordering stays cache_mu_ -> entry->m -> stats_mu_; a preparing
+  // thread holds entry->m but never takes cache_mu_.
   std::unique_lock<std::mutex> entry_lk(entry->m, std::defer_lock);
   if (force) {
     entry_lk.lock();
@@ -166,34 +128,11 @@ bool Engine::evict_locked(const PrepareKey& key, bool force) {
     return false;  // capacity sweep: skip entries mid-prepare
   }
 
-  std::shared_ptr<Resident> dropped;
-  if (entry->value) {
-    std::lock_guard pl(pool_mu_);
-    const auto pit = pool_.find(entry->value.get());
-    if (pit != pool_.end()) {
-      dropped = std::move(pit->second);
-      pool_.erase(pit);
-    }
-  }
   lru_.erase(entry->lru_it);
   cache_.erase(it);
-  account_release(dropped);
   std::lock_guard sl(stats_mu_);
   ++counters_.evictions;
   return true;
-}
-
-void Engine::account_release(const std::shared_ptr<Resident>& res) {
-  if (!res) return;
-  std::uint64_t bytes = 0;
-  {
-    std::lock_guard lk(res->m);  // orders us after an in-flight upload
-    if (!res->ready) return;     // never uploaded: nothing was accounted
-    bytes = res->mark.bytes_allocated;
-  }
-  std::lock_guard sl(stats_mu_);
-  counters_.bytes_released += bytes;
-  counters_.bytes_resident -= bytes;
 }
 
 bool Engine::evict(const PrepareKey& key) {
@@ -223,40 +162,16 @@ std::size_t Engine::resident_graphs() const {
   return cache_.size();
 }
 
-bool Engine::release_device(const GraphHandle& graph) {
-  std::shared_ptr<Resident> dropped;
-  {
-    std::lock_guard pl(pool_mu_);
-    const auto it = pool_.find(graph.get());
-    if (it == pool_.end()) return false;
-    dropped = std::move(it->second);
-    pool_.erase(it);
-  }
-  account_release(dropped);
-  return true;
-}
-
-std::uint64_t Engine::device_image_bytes(const GraphHandle& graph) const {
-  std::shared_ptr<Resident> res;
-  {
-    std::lock_guard pl(pool_mu_);
-    const auto it = pool_.find(graph.get());
-    if (it == pool_.end()) return 0;
-    res = it->second;
-  }
-  std::lock_guard lk(res->m);
-  return res->ready ? res->mark.bytes_allocated : 0;
-}
-
 RunOutcome Engine::run(const tc::TriangleCounter& algo, const GraphHandle& graph) {
-  const auto res = acquire_resident(graph);
-  // Fresh scratch per run, based just past the resident graph: identical
-  // simulated addresses to a fresh-device run, zero re-upload cost, and no
-  // sharing between concurrent cells.
-  simt::Device scratch(res->mark.next_base);
-  RunOutcome out = run_on_device(algo, *graph, res->graph, scratch, cfg_.spec);
+  // One device per run, like run_algorithm: concurrent cells share nothing.
+  simt::Device dev;
+  const tc::DeviceGraph dg = tc::DeviceGraph::upload(dev, graph->dag);
+  const std::uint64_t image_bytes = dev.bytes_allocated();
+  RunOutcome out = run_on_device(algo, *graph, dg, dev, cfg_.spec);
   {
     std::lock_guard sl(stats_mu_);
+    ++counters_.uploads;
+    counters_.bytes_uploaded += image_bytes;
     ++counters_.cells;
     if (!out.valid) all_valid_ = false;
   }

@@ -9,12 +9,11 @@
 //      binary run. The engine keys it by (dataset, max_edges, seed,
 //      orientation policy) and runs it once per graph per process.
 //
-//   2. Device-graph pool. A DeviceGraph is immutable once uploaded (kernels
-//      only load from it; all stores go to per-run scratch), so one resident
-//      upload per prepared graph serves every algorithm. Per-run scratch
-//      lives on a separate Device based at the resident device's post-upload
-//      mark, which reproduces the exact address stream of the old
-//      fresh-device-per-run path — simulator metrics are unchanged.
+//   2. Per-run upload. Each run uploads the graph's DAG to a fresh Device,
+//      allocates its scratch after it and frees both when it returns — the
+//      same prepare → upload → run → validate loop as run_algorithm, so
+//      every address and metric matches it. No device image outlives the
+//      run that uploaded it, so nothing needs releasing.
 //
 //   3. Cell scheduler. Independent (algorithm × dataset) cells run as tasks
 //      over a small worker pool; the launcher's inner OpenMP threads are
@@ -53,21 +52,15 @@ struct PrepareKey {
 };
 
 /// Monotonic work counters, exposed so tests can assert the once-per-graph
-/// guarantees (prepares == distinct graphs, uploads == distinct DAGs).
+/// prepare guarantee (prepares == distinct graphs) and uploads == cells.
 struct EngineCounters {
   std::uint64_t prepares = 0;      ///< CPU pipeline executions (cache misses)
   std::uint64_t prepare_hits = 0;  ///< prepares served from the cache
-  std::uint64_t uploads = 0;       ///< DAG uploads (pool misses)
-  std::uint64_t upload_hits = 0;   ///< runs served by a resident DeviceGraph
+  std::uint64_t uploads = 0;       ///< DAG uploads, one per run
+  std::uint64_t upload_hits = 0;   ///< always 0: no run reuses an upload
   std::uint64_t cells = 0;         ///< algorithm runs completed
   std::uint64_t evictions = 0;     ///< cache entries dropped (cap or evict())
-  std::uint64_t bytes_uploaded = 0;  ///< device bytes across all pool uploads
-  /// Device bytes of images dropped by evict()/release_device(). Together
-  /// with bytes_uploaded this makes residency an invariant rather than a
-  /// ratchet: bytes_resident == bytes_uploaded - bytes_released at all
-  /// times, which is what fleet::DeviceSlot accounting trusts.
-  std::uint64_t bytes_released = 0;
-  std::uint64_t bytes_resident = 0;  ///< device bytes currently pooled
+  std::uint64_t bytes_uploaded = 0;  ///< device bytes across all uploads
 };
 
 /// One dataset of a sweep: the prepared graph and one outcome per algorithm
@@ -94,10 +87,10 @@ class Engine {
     std::vector<std::string> datasets;  ///< sweep selection; empty = all 19
     std::size_t workers = 1;            ///< parallel cells; 0 = auto, 1 = serial
     /// Prepared-graph cache cap (0 = unbounded). When a prepare would push
-    /// the cache past the cap, least-recently-used entries (and their pooled
-    /// device images) are dropped — long-running processes (the serve layer,
-    /// full scaling sweeps) stay bounded. In-flight handles stay valid;
-    /// re-preparing an evicted key just reruns the deterministic pipeline.
+    /// the cache past the cap, least-recently-used entries are dropped —
+    /// long-running processes (the serve layer, full scaling sweeps) stay
+    /// bounded. In-flight handles stay valid; re-preparing an evicted key
+    /// just reruns the deterministic pipeline.
     std::size_t max_resident = 0;
   };
 
@@ -117,12 +110,13 @@ class Engine {
   /// Same, by registry name; throws std::out_of_range on unknown names.
   GraphHandle prepare(const std::string& dataset_name);
   /// Prepares an arbitrary raw edge list (loader output, custom generators).
-  /// Uncached — raw inputs have no stable identity — but the returned handle
-  /// still shares its device-resident DAG across runs.
+  /// Uncached — raw inputs have no stable identity — so the returned handle
+  /// is the graph's only owner.
   GraphHandle prepare_raw(std::string name, const graph::Coo& raw);
 
-  /// Runs one algorithm against the graph's pooled device image and
-  /// validates the count. Thread-safe; a count mismatch latches all_valid().
+  /// Uploads the graph to a fresh device, runs one algorithm on it and
+  /// validates the count; the image is freed on return. Thread-safe; a
+  /// count mismatch latches all_valid().
   RunOutcome run(const tc::TriangleCounter& algo, const GraphHandle& graph);
   /// Same, by registry name.
   RunOutcome run(const std::string& algorithm, const GraphHandle& graph);
@@ -133,29 +127,19 @@ class Engine {
   std::vector<SweepRow> sweep(const std::vector<AlgorithmEntry>& algorithms,
                               std::ostream& progress);
 
-  /// Drops one prepared graph from the cache and its device image from the
-  /// pool. Returns false if the key was not resident. Handles already given
-  /// out keep working; the next prepare of the key reruns the pipeline.
+  /// Drops one prepared graph from the cache. Returns false if the key was
+  /// not resident. Handles already given out keep working; the next prepare
+  /// of the key reruns the pipeline.
   bool evict(const PrepareKey& key);
   /// Same for a paper dataset under this engine's cap/seed/policy.
   bool evict(const std::string& dataset_name);
   /// Drops every cached prepare of `dataset_name` regardless of cap, seed
-  /// or orientation policy (plus their pooled device images). The stream
-  /// layer calls this on a version bump so no pre-mutation prepare can be
-  /// re-served from the cache. Returns how many entries were dropped.
+  /// or orientation policy. The stream layer calls this on a version bump
+  /// so no pre-mutation prepare can be re-served from the cache. Returns
+  /// how many entries were dropped.
   std::size_t invalidate(const std::string& dataset_name);
   /// Prepared graphs currently cached (≤ Config::max_resident when capped).
   std::size_t resident_graphs() const;
-  /// Drops the pooled device image for one graph handle (the cache entry,
-  /// if any, stays). This is the only way to release the upload of a
-  /// prepare_raw graph — the serve layer calls it after an inline batch so
-  /// one-shot query graphs do not accumulate in the pool.
-  bool release_device(const GraphHandle& graph);
-
-  /// Device bytes of this graph's pooled image; 0 when no upload is
-  /// resident. The fleet layer uses it to charge a DeviceSlot the exact
-  /// bytes the engine accounted (EngineCounters::bytes_resident).
-  std::uint64_t device_image_bytes(const GraphHandle& graph) const;
 
   /// False once any run's count mismatched the CPU reference.
   bool all_valid() const;
@@ -167,13 +151,8 @@ class Engine {
 
  private:
   struct CacheEntry;  ///< latched prepared graph (one pipeline run per key)
-  struct Resident;    ///< pooled device + uploaded DeviceGraph
 
   GraphHandle prepare_cached(const PrepareKey& key, const gen::DatasetSpec& spec);
-  std::shared_ptr<Resident> acquire_resident(const GraphHandle& graph);
-  /// Folds one dropped pool image into the byte counters (bytes_released up,
-  /// bytes_resident down). No-op for slots that never finished uploading.
-  void account_release(const std::shared_ptr<Resident>& res);
   /// Drops `key` under cache_mu_. `force` waits out an in-flight prepare;
   /// the capacity sweep instead skips busy entries.
   bool evict_locked(const PrepareKey& key, bool force);
@@ -183,9 +162,6 @@ class Engine {
   mutable std::mutex cache_mu_;  ///< guards cache_ and lru_ shape
   std::map<PrepareKey, std::shared_ptr<CacheEntry>> cache_;
   std::list<PrepareKey> lru_;    ///< most recently used at the front
-
-  mutable std::mutex pool_mu_;  ///< guards pool_ map shape
-  std::map<const PreparedGraph*, std::shared_ptr<Resident>> pool_;
 
   mutable std::mutex stats_mu_;  ///< guards counters_ and all_valid_
   EngineCounters counters_;

@@ -47,14 +47,14 @@ simt::GpuSpec spec_for(const std::string& gpu_name) {
 }
 
 RunOutcome run_on_device(const tc::TriangleCounter& algo, const PreparedGraph& pg,
-                         const tc::DeviceGraph& dg, simt::Device& scratch,
+                         const tc::DeviceGraph& dg, simt::Device& dev,
                          const simt::GpuSpec& spec) {
   RunOutcome out;
   out.algorithm = algo.name();
   out.dataset = pg.name;
 
   const auto t0 = std::chrono::steady_clock::now();
-  out.result = algo.count(scratch, spec, dg);
+  out.result = algo.count(dev, spec, dg);
   const auto t1 = std::chrono::steady_clock::now();
   out.host_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.valid = out.result.triangles == pg.reference_triangles;

@@ -50,17 +50,15 @@ struct RunOutcome {
 };
 
 /// Uploads the DAG to a fresh device, runs the counter, validates the count.
-/// One-shot convenience; Engine reuses a resident DeviceGraph instead.
 RunOutcome run_algorithm(const tc::TriangleCounter& algo, const PreparedGraph& pg,
                          const simt::GpuSpec& spec);
 
-/// Runs the counter against an already-resident DeviceGraph, allocating the
-/// algorithm's scratch buffers on `scratch`. This is the engine's path: `dg`
-/// lives on a pooled device shared by every algorithm on the dataset, while
-/// `scratch` is per-run (base it at the pooled device's mark so the address
-/// stream matches a single-device run exactly).
+/// Runs the counter against a DeviceGraph already uploaded to `dev`,
+/// allocating the algorithm's scratch after it, and validates the count
+/// against `pg`. Engine::run and MultiDeviceRunner::run upload a fresh
+/// device (one per shard) and call this.
 RunOutcome run_on_device(const tc::TriangleCounter& algo, const PreparedGraph& pg,
-                         const tc::DeviceGraph& dg, simt::Device& scratch,
+                         const tc::DeviceGraph& dg, simt::Device& dev,
                          const simt::GpuSpec& spec);
 
 /// GpuSpec preset by name ("v100" or "rtx4090"); throws on anything else.

@@ -20,7 +20,7 @@
 // With a single tenant only one queue has a head, so the scheduler is a
 // plain bounded FIFO. take_matching() is the batching hook: a worker that
 // popped one query drains that tenant's other queued queries on the same
-// graph so the whole batch shares one prepare/upload.
+// graph so the whole batch shares one prepare.
 #pragma once
 
 #include <algorithm>

@@ -34,8 +34,8 @@ constexpr std::size_t kMaxBatch = 32;
 
 QueryTrace::TimePoint now() { return QueryTrace::Clock::now(); }
 
-/// A stream snapshot as a graph the fleet can run. Built outside the
-/// engine's prepare cache, so its device images are the service's to release.
+/// A stream snapshot as a graph the fleet can run, built outside the
+/// engine's prepare cache.
 framework::Engine::GraphHandle materialize(const stream::Snapshot& snap,
                                            std::string name) {
   auto pg = std::make_shared<framework::PreparedGraph>();
@@ -91,9 +91,8 @@ struct QueryService::Pending {
 struct QueryService::StreamState {
   std::mutex m;
   std::unique_ptr<stream::DynamicGraph> dyn;
-  /// The current version's snapshot materialized as a PreparedGraph; its
-  /// device images are released on the next version bump (and at shutdown),
-  /// so exactly one image per dataset version stays live.
+  /// The current version's snapshot materialized as a PreparedGraph, built
+  /// once per version and dropped on the next version bump.
   framework::Engine::GraphHandle materialized;
   std::uint64_t materialized_version = 0;
 };
@@ -133,19 +132,6 @@ void QueryService::shutdown() {
   queue_.close();  // workers drain the backlog, then exit
   for (auto& t : workers_) {
     if (t.joinable()) t.join();
-  }
-  // Workers are gone: drop the streamed snapshots' device images so the
-  // (longer-lived) engine and fleet do not keep dead uploads resident.
-  std::vector<std::shared_ptr<StreamState>> states;
-  {
-    std::lock_guard lk(mu_);
-    states.reserve(streams_.size());
-    for (auto& [name, ss] : streams_) states.push_back(ss);
-  }
-  for (auto& ss : states) {
-    std::lock_guard slk(ss->m);
-    if (ss->materialized) fleet_.release(ss->materialized);
-    ss->materialized.reset();
   }
 }
 
@@ -275,15 +261,13 @@ std::shared_ptr<QueryService::StreamState> QueryService::stream_state(
 
 framework::Engine::GraphHandle QueryService::stream_handle(
     StreamState& ss, const std::string& dataset, std::uint64_t* version) {
-  // Caller holds ss.m. One materialization (and thus one device upload, on
-  // first run) per dataset version; the previous version's images are
-  // released the moment it goes stale.
+  // Caller holds ss.m. One materialization per dataset version; every run
+  // on it uploads its own device image.
   const auto snap = ss.dyn->snapshot();
   if (version != nullptr) *version = snap->version();
   if (ss.materialized && ss.materialized_version == snap->version()) {
     return ss.materialized;
   }
-  if (ss.materialized) fleet_.release(ss.materialized);
   ss.materialized = materialize(*snap, dataset);
   ss.materialized_version = snap->version();
   return ss.materialized;
@@ -356,11 +340,10 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
     new_version = cr.version;
     if (cr.changed) {
       // The version bumped: every layer describing the old graph goes —
-      // the old snapshot's device images; through the fleet, the engine's
+      // the old materialized snapshot; through the fleet, the engine's
       // cached prepares of the dataset (a cache hit would resurrect
-      // pre-mutation data), their images, and the cached results and
-      // placements; and the selector's folded refinement for the old stats.
-      if (ss->materialized) fleet_.release(ss->materialized);
+      // pre-mutation data) and the cached results and placements; and the
+      // selector's folded refinement for the old stats.
       ss->materialized.reset();
       fleet_.invalidate(p.req.dataset);
       selector_.forget(old_stats);
@@ -403,13 +386,13 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
       is_inline ? (head.req.name.empty() ? "inline" : head.req.name)
                 : head.req.dataset;
 
-  // One prepare/upload serves every count query at the same version. The
+  // One prepare serves every count query at the same version. The
   // resolution is lazy and re-done after each mutation in the batch, so a
   // count query admitted behind a mutation answers against the version that
   // mutation produced (same-key batching keeps the submission order).
   framework::Engine::GraphHandle graph;
-  framework::Engine::GraphHandle inline_graph;  // released after the batch
-  framework::Engine::GraphHandle pinned_graph;  // released after the batch
+  framework::Engine::GraphHandle inline_graph;  // prepared once per batch
+  framework::Engine::GraphHandle pinned_graph;  // materialized once per batch
   std::uint64_t graph_version = 0;
   bool from_stream = false;
   bool resolved = false;
@@ -433,8 +416,7 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
         graph = inline_graph;
       } else if (head.req.version != 0) {
         // Version-pinned (time-travel) read: answer from the retained
-        // snapshot, materialized once per batch outside the engine cache —
-        // its one-shot device image is released when the batch ends.
+        // snapshot, materialized once per batch outside the engine cache.
         const std::uint64_t want = head.req.version;
         if (!pinned_graph) {
           std::shared_ptr<const stream::Snapshot> snap;
@@ -458,7 +440,7 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
                             std::to_string(head_version) + ", retained " +
                             std::to_string(retained) + ")";
           } else {
-            // "dataset@vN" labels traces and the device pools.
+            // "dataset@vN" labels the replies.
             pinned_graph = materialize(*snap, head.key);
           }
         }
@@ -590,9 +572,20 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     finish(*p, std::move(reply));
   }
 
-  // One-shot graphs must not accumulate device images, single or sharded.
-  if (inline_graph) fleet_.release(inline_graph);
-  if (pinned_graph) fleet_.release(pinned_graph);
+  // An inline graph has no identity past its batch: drop the pick it
+  // latched, its placement and cached result, and its refinement, so a
+  // stream of distinct inline graphs leaves no per-key state behind.
+  if (inline_graph) {
+    {
+      std::lock_guard lk(mu_);
+      for (auto it = picks_.lower_bound(PickKey{head.pick, 0, Hint::kAuto});
+           it != picks_.end() && std::get<0>(it->first) == head.pick;) {
+        it = picks_.erase(it);
+      }
+    }
+    fleet_.invalidate(head.pick);
+    selector_.forget(inline_graph->stats);
+  }
 }
 
 ServiceCounters QueryService::counters() const {

@@ -4,29 +4,30 @@
 // Scheduler — per-tenant bounded queues with EDF + weighted-fair dispatch
 // and per-tenant backpressure (block or shed); with one tenant it is a plain
 // bounded FIFO. Workers pop it directly and batch that tenant's queued
-// queries on the same graph into one prepare/upload, the Selector's cost
+// queries on the same graph into one prepare, the Selector's cost
 // model picks the kernel per query (unless the query forces one), and a
-// fleet::Fleet executes it (result cache, then one warm device or a sharded
+// fleet::Fleet executes it (result cache, then one device or a sharded
 // run) — a one-device fleet the service owns, or a borrowed M-device one.
 // Every reply carries the exact count, the chosen algorithm with its
 // modeled cost, the run's KernelStats, its placement, and a per-query trace
 // (enqueue → admit → prepare → select → run → reply).
 //
 // Long-running processes stay bounded: the Engine's prepared-graph cache is
-// LRU-capped (Engine::Config::max_resident / Engine::evict), and one-shot
-// graphs (inline, version-pinned) release their device images, single or
-// sharded, through the fleet after their batch.
+// LRU-capped (Engine::Config::max_resident / Engine::evict), every run frees
+// its device images when it returns, and an inline graph's pick, placement,
+// cached result and refinement are dropped when its batch ends — so an
+// identical inline graph sent in a later batch is scored and run again.
 //
 // Mutations (DESIGN.md "Streaming & versioning"): a request may carry edge
 // inserts/removals for a named dataset. The first mutation moves the
 // dataset onto a stream::DynamicGraph; the batch commits as one delta
 // (inserts first, then removals) and bumps the dataset's version. A version
 // bump invalidates every stale layer — the Engine's cached prepares of the
-// dataset, the old snapshot's device images, the fleet's cached results and
+// dataset, the old materialized snapshot, the fleet's cached results and
 // placements, the Selector's folded refinement for the old stats, and the
 // sticky picks latched below the new version. Count queries on a streamed
-// dataset answer from the current snapshot's materialized DAG (re-uploaded
-// once per version, never re-prepared from scratch).
+// dataset answer from the current snapshot's materialized DAG (built once
+// per version, never re-prepared from scratch).
 //
 // Determinism contract: for a fixed workload set, selector decisions and
 // counts are reproducible. Decisions are latched per (graph, version, hint)
@@ -139,7 +140,7 @@ struct ServiceCounters {
   std::uint64_t served = 0;     ///< replies delivered (any terminal status)
   std::uint64_t expired = 0;    ///< kDeadlineExpired replies
   std::uint64_t errors = 0;     ///< kInvalidRequest + kError replies
-  std::uint64_t batches = 0;    ///< prepare/upload groups executed
+  std::uint64_t batches = 0;    ///< prepare groups executed
   std::uint64_t batched = 0;    ///< queries that rode an existing batch
   std::uint64_t mutations = 0;  ///< mutation batches committed (kOk)
   std::uint64_t stream_queries = 0;  ///< counts answered from a snapshot
@@ -165,7 +166,7 @@ class QueryService {
     TenantPolicy default_policy;
   };
 
-  /// Borrows the engine (graph cache, device pool, validation); the engine
+  /// Borrows the engine (graph cache, upload, validation); the engine
   /// must outlive the service. Runs on a one-device fleet the service owns.
   /// Algorithm universe = selector's models.
   explicit QueryService(framework::Engine& engine) : QueryService(engine, Config{}) {}

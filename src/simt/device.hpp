@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,12 +24,6 @@ class DeviceBuffer;
 class Device {
  public:
   Device() = default;
-  /// A device whose address space starts at `base_addr` instead of the
-  /// default base. Lets a scratch device continue the address layout of
-  /// another device (e.g. after a resident graph), so the combined address
-  /// stream is identical to allocating everything on one device.
-  explicit Device(std::uint64_t base_addr)
-      : first_base_(align_up(base_addr)), next_base_(align_up(base_addr)) {}
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
@@ -40,34 +33,6 @@ class Device {
 
   std::uint64_t bytes_allocated() const { return bytes_allocated_; }
   std::size_t allocation_count() const { return allocations_.size(); }
-
-  /// Snapshot of the allocation state, for scoped reuse via release_to().
-  struct Mark {
-    std::size_t allocation_count = 0;
-    std::uint64_t next_base = 0;
-    std::uint64_t bytes_allocated = 0;
-  };
-  Mark mark() const { return {allocations_.size(), next_base_, bytes_allocated_}; }
-
-  /// Frees every allocation made after `m` (invalidating their buffers) and
-  /// rewinds the address space, so the next alloc reuses the same base a
-  /// fresh run would have received. Allocations up to the mark survive —
-  /// this is what lets a resident graph outlive per-run scratch.
-  void release_to(const Mark& m) {
-    if (m.allocation_count > allocations_.size()) {
-      throw std::invalid_argument("Device::release_to: stale mark");
-    }
-    allocations_.resize(m.allocation_count);
-    next_base_ = m.next_base;
-    bytes_allocated_ = m.bytes_allocated;
-  }
-
-  /// Releases every allocation (invalidates all outstanding buffers).
-  void free_all() {
-    allocations_.clear();
-    bytes_allocated_ = 0;
-    next_base_ = first_base_;
-  }
 
  private:
   struct Allocation {
@@ -80,12 +45,7 @@ class Device {
   static constexpr std::uint64_t kBaseStart = 0x10000;
   static constexpr std::uint64_t kAlign = 128;
 
-  static constexpr std::uint64_t align_up(std::uint64_t addr) {
-    return (addr + kAlign - 1) / kAlign * kAlign;
-  }
-
   std::vector<Allocation> allocations_;
-  std::uint64_t first_base_ = kBaseStart;
   std::uint64_t next_base_ = kBaseStart;
   std::uint64_t bytes_allocated_ = 0;
 };

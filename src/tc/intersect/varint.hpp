@@ -144,8 +144,7 @@ std::uint64_t merge_cursor_probed(simt::ThreadCtx& ctx, VarintCursor a,
 
 /// Self-staged compressed copy of a raw image's adjacency — the BSR pattern:
 /// host-side encode once per count() call, allocations on the caller's
-/// device (the engine's per-run scratch), so the resident raw image and the
-/// pooled address stream are untouched.
+/// device after the raw image, so the raw image itself is untouched.
 struct StagedCompressed {
   simt::DeviceBuffer<std::uint32_t> base;
   simt::DeviceBuffer<std::uint32_t> off;

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "framework/registry.hpp"
 #include "framework/runner.hpp"
+#include "gen/er.hpp"
 
 namespace tcgpu::dist {
 namespace {
@@ -113,6 +120,69 @@ TEST(MultiDeviceRunner, AllValidStartsTrueAndSurvivesValidRuns) {
   EXPECT_TRUE(runner.all_valid());
   runner.run("Green", engine.prepare("As-Caida"));
   EXPECT_TRUE(runner.all_valid());
+}
+
+TEST(MultiDeviceRunner, NothingPinsAGraphPastItsLastHandle) {
+  // Shard images (and the baseline's image) live for one run, so once the
+  // caller drops its handle the graph is gone.
+  framework::Engine engine(small_config());
+  auto graph = engine.prepare_raw("er", gen::generate_er(300, 2'000, 5));
+  const std::weak_ptr<const framework::PreparedGraph> watch = graph;
+  MultiDeviceRunner runner(engine, {simt::ClusterSpec::single_host(4)});
+  EXPECT_TRUE(runner.run("Polak", graph).valid);
+  EXPECT_TRUE(runner.run("TRUST", graph).valid);
+  graph.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(MultiDeviceRunner, EvictionRacingShardedRunsKeepsEveryCountExact) {
+  // A one-graph cache: runs over a rotation of datasets evict each other's
+  // entries while another thread evicts and invalidates on top. Each run
+  // holds its own handle and uploads its own images, so every outcome
+  // stays valid.
+  auto cfg = small_config();
+  cfg.max_resident = 1;
+  framework::Engine engine(cfg);
+  MultiDeviceRunner runner(engine, {simt::ClusterSpec::single_host(4),
+                                    PartitionStrategy::kRange,
+                                    /*measure_baseline=*/false});
+  const std::vector<std::string> rotation = {"As-Caida", "Email-EuAll",
+                                             "Com-Dblp"};
+  constexpr std::size_t kRounds = 12;
+  std::atomic<std::size_t> invalid{0};
+  std::atomic<bool> stop{false};
+
+  std::thread evictor([&] {
+    for (std::size_t i = 0; !stop.load(); ++i) {
+      const std::string& name = rotation[i % rotation.size()];
+      if (i % 2 == 0) {
+        engine.evict(name);
+      } else {
+        engine.invalidate(name);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  const auto counter = [&](std::size_t offset, bool sharded) {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const auto graph =
+          engine.prepare(rotation[(i + offset) % rotation.size()]);
+      const bool valid = sharded ? runner.run("Polak", graph).valid
+                                 : engine.run("Polak", graph).valid;
+      if (!valid) ++invalid;
+    }
+  };
+  std::vector<std::thread> counters;
+  counters.emplace_back(counter, 0, false);
+  counters.emplace_back(counter, 1, true);
+  counters.emplace_back(counter, 2, true);
+  for (auto& t : counters) t.join();
+  stop = true;
+  evictor.join();
+
+  EXPECT_EQ(invalid.load(), 0u);
+  EXPECT_TRUE(runner.all_valid());
+  EXPECT_TRUE(engine.all_valid());
 }
 
 }  // namespace

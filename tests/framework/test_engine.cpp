@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -60,99 +61,69 @@ TEST(EngineCache, DifferentSeedsPrepareDifferentGraphs) {
 }
 
 TEST(EnginePool, DeviceGraphIsUploadedOnceAcrossAlgorithms) {
+  // Once per run, not once per graph: no image outlives its run, so every
+  // algorithm uploads the DAG again and no run reuses an earlier image.
   Engine engine(small_config());
   const auto pg = engine.prepare("As-Caida");
-  const auto polak = engine.run("Polak", pg);
-  const auto trust = engine.run("TRUST", pg);
-  EXPECT_TRUE(polak.valid);
-  EXPECT_TRUE(trust.valid);
-  const auto c = engine.counters();
-  EXPECT_EQ(c.uploads, 1u);      // one resident DAG serves both runs
-  EXPECT_EQ(c.upload_hits, 1u);  // the second run reused it
-  EXPECT_EQ(c.cells, 2u);
+  std::uint64_t cells = 0;
+  for (const char* algo : {"Polak", "TRUST", "GroupTC"}) {
+    EXPECT_TRUE(engine.run(algo, pg).valid) << algo;
+    ++cells;
+    const auto c = engine.counters();
+    EXPECT_EQ(c.uploads, cells) << algo;
+    EXPECT_EQ(c.upload_hits, 0u) << algo;
+    EXPECT_EQ(c.cells, cells) << algo;
+  }
 }
 
 TEST(EnginePool, TracksBytesUploadedPerResidentImage) {
+  // An image is resident for exactly one run, so the same graph adds the
+  // same bytes on every run and a different graph adds its own.
   Engine engine(small_config());
   const auto pg = engine.prepare("As-Caida");
-  EXPECT_EQ(engine.counters().bytes_uploaded, 0u);  // nothing resident yet
+  EXPECT_EQ(engine.counters().bytes_uploaded, 0u);  // prepare uploads nothing
 
   engine.run("Polak", pg);
-  const std::uint64_t after_one = engine.counters().bytes_uploaded;
-  EXPECT_GT(after_one, 0u);
-  engine.run("TRUST", pg);  // pool hit: no new upload, no new bytes
-  EXPECT_EQ(engine.counters().bytes_uploaded, after_one);
-
-  const auto pg2 = engine.prepare("Wiki-Talk");
-  engine.run("Polak", pg2);  // second resident image adds its own bytes
-  EXPECT_GT(engine.counters().bytes_uploaded, after_one);
-}
-
-TEST(EnginePool, ResidencyIsUploadedMinusReleasedAtAllTimes) {
-  // Regression: bytes_uploaded used to be the only byte counter, so
-  // residency could only be inferred as a ratchet. The invariant now is
-  // bytes_resident == bytes_uploaded - bytes_released across upload, evict
-  // and release — what fleet::DeviceSlot accounting trusts.
-  Engine engine(small_config());
-  const auto check_invariant = [&] {
-    const auto c = engine.counters();
-    EXPECT_EQ(c.bytes_resident, c.bytes_uploaded - c.bytes_released);
-  };
-
-  const auto pg = engine.prepare("As-Caida");
-  EXPECT_EQ(engine.counters().bytes_resident, 0u);
-  engine.run("Polak", pg);
-  const auto one = engine.counters();
-  EXPECT_GT(one.bytes_resident, 0u);
-  EXPECT_EQ(one.bytes_released, 0u);
-  EXPECT_EQ(engine.device_image_bytes(pg), one.bytes_resident);
-  check_invariant();
+  const std::uint64_t image = engine.counters().bytes_uploaded;
+  EXPECT_GT(image, 0u);
+  engine.run("TRUST", pg);  // uploaded again, at the same size
+  EXPECT_EQ(engine.counters().bytes_uploaded, 2 * image);
+  engine.run("GroupTC", pg);
+  EXPECT_EQ(engine.counters().bytes_uploaded, 3 * image);
 
   const auto pg2 = engine.prepare("Wiki-Talk");
   engine.run("Polak", pg2);
-  const auto two = engine.counters();
-  EXPECT_GT(two.bytes_resident, one.bytes_resident);
-  check_invariant();
-
-  // Releasing one image folds its bytes out of residency — and into the
-  // cumulative released counter, never out of bytes_uploaded.
-  engine.release_device(pg);
-  const auto after_release = engine.counters();
-  EXPECT_EQ(after_release.bytes_released, one.bytes_resident);
-  EXPECT_EQ(after_release.bytes_resident,
-            two.bytes_resident - one.bytes_resident);
-  EXPECT_EQ(after_release.bytes_uploaded, two.bytes_uploaded);
-  EXPECT_EQ(engine.device_image_bytes(pg), 0u);
-  check_invariant();
-
-  // Evicting the cache entry drops the remaining image the same way.
-  engine.invalidate("Wiki-Talk");
-  const auto after_evict = engine.counters();
-  EXPECT_EQ(after_evict.bytes_resident, 0u);
-  EXPECT_EQ(after_evict.bytes_released, after_evict.bytes_uploaded);
-  check_invariant();
-
-  // Double release is a no-op, not a double subtraction.
-  engine.release_device(pg);
-  check_invariant();
+  EXPECT_GT(engine.counters().bytes_uploaded, 3 * image);
 }
 
-TEST(EnginePool, PooledRunMatchesFreshDeviceRunBitIdentically) {
-  // The pool bases per-run scratch at the resident device's mark, so the
+TEST(EngineRun, RunMatchesFreshDeviceRunBitIdentically) {
+  // Engine::run uploads to a fresh device like run_algorithm, so the
   // simulated address stream — and therefore every metric and the modeled
-  // time — must equal the legacy fresh-device-per-run path exactly.
+  // time — must equal the one-shot path exactly.
   Engine engine(small_config());
   const auto pg = engine.prepare("As-Caida");
-  engine.run("TRUST", pg);  // warm the pool; TRUST scratch must not disturb
-  const auto pooled = engine.run("GroupTC", pg);
+  engine.run("TRUST", pg);  // an earlier run must not disturb the next one
+  const auto ran = engine.run("GroupTC", pg);
   const auto fresh =
       run_algorithm(*make_algorithm("GroupTC"), *pg, engine.config().spec);
-  EXPECT_EQ(pooled.result.triangles, fresh.result.triangles);
-  EXPECT_EQ(pooled.result.total, fresh.result.total);
-  ASSERT_EQ(pooled.result.launches.size(), fresh.result.launches.size());
-  for (std::size_t i = 0; i < pooled.result.launches.size(); ++i) {
-    EXPECT_EQ(pooled.result.launches[i].second, fresh.result.launches[i].second);
+  EXPECT_EQ(ran.result.triangles, fresh.result.triangles);
+  EXPECT_EQ(ran.result.total, fresh.result.total);
+  ASSERT_EQ(ran.result.launches.size(), fresh.result.launches.size());
+  for (std::size_t i = 0; i < ran.result.launches.size(); ++i) {
+    EXPECT_EQ(ran.result.launches[i].second, fresh.result.launches[i].second);
   }
+}
+
+TEST(EngineRun, NothingPinsAGraphPastItsLastHandle) {
+  // A run frees its device image on return, so once the caller drops its
+  // handle the graph is gone — nothing in the engine keeps it alive.
+  Engine engine(small_config());
+  auto pg = engine.prepare_raw("er", gen::generate_er(200, 1'200, 3));
+  const std::weak_ptr<const PreparedGraph> watch = pg;
+  EXPECT_TRUE(engine.run("Polak", pg).valid);
+  EXPECT_TRUE(engine.run("TRUST", pg).valid);
+  pg.reset();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(EngineSweep, PreparesAndUploadsEachDatasetExactlyOnce) {
@@ -167,11 +138,10 @@ TEST(EngineSweep, PreparesAndUploadsEachDatasetExactlyOnce) {
     ASSERT_EQ(rows.size(), 3u);
     const std::size_t cells = rows.size() * all_algorithms().size();
     const auto c = engine.counters();
-    // The exactly-once guarantees: the CPU pipeline ran once per graph and
-    // each DAG went to the device once, serial or parallel.
+    // The exactly-once guarantee: the CPU pipeline ran once per graph,
+    // serial or parallel. Every cell uploads its own device image.
     EXPECT_EQ(c.prepares, 3u) << "workers=" << workers;
-    EXPECT_EQ(c.uploads, 3u) << "workers=" << workers;
-    EXPECT_EQ(c.upload_hits, cells - 3u) << "workers=" << workers;
+    EXPECT_EQ(c.uploads, cells) << "workers=" << workers;
     EXPECT_EQ(c.cells, cells) << "workers=" << workers;
     EXPECT_TRUE(engine.all_valid());
     EXPECT_EQ(engine.exit_code(), 0);
@@ -275,7 +245,7 @@ TEST(EngineEviction, EvictDropsCacheEntryAndDeviceImage) {
   EXPECT_EQ(engine.counters().evictions, 1u);
   EXPECT_FALSE(engine.evict("As-Caida"));  // already gone
 
-  // The handle given out before eviction keeps working (re-upload).
+  // The handle given out before eviction keeps working.
   EXPECT_TRUE(engine.run("Polak", pg).valid);
   // Re-preparing reruns the pipeline.
   engine.prepare("As-Caida");
@@ -301,20 +271,6 @@ TEST(EngineEviction, MaxResidentCapEvictsLeastRecentlyUsed) {
   EXPECT_EQ(engine.counters().prepares, before);  // still cached
   engine.prepare("Wiki-Talk");
   EXPECT_EQ(engine.counters().prepares, before + 1);  // was evicted
-}
-
-TEST(EngineEviction, ReleaseDeviceDropsPooledImageOfRawGraph) {
-  Engine engine(small_config());
-  const auto pg = engine.prepare_raw("er", gen::generate_er(100, 400, 3));
-  engine.run("Polak", pg);
-  EXPECT_EQ(engine.counters().uploads, 1u);
-
-  EXPECT_TRUE(engine.release_device(pg));
-  EXPECT_FALSE(engine.release_device(pg));  // already released
-
-  // The next run re-uploads; counts stay correct.
-  EXPECT_TRUE(engine.run("Polak", pg).valid);
-  EXPECT_EQ(engine.counters().uploads, 2u);
 }
 
 TEST(EngineSweep, UnknownDatasetSelectionThrows) {

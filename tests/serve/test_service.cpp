@@ -284,5 +284,37 @@ TEST(ServiceEviction, CappedEngineStaysBoundedUnderRotation) {
   EXPECT_GT(engine.counters().evictions, 0u);
 }
 
+TEST(ServiceLifetime, InlineGraphsLeaveNoPerKeyState) {
+  // Each distinct inline graph latches a pick, a fleet placement, a cached
+  // result and a selector observation; all of them go when its batch ends.
+  // One worker runs the batches in order, so each has ended before the
+  // next query is popped.
+  framework::Engine engine(small_engine());
+  fleet::Fleet fleet(engine, fleet::Fleet::Config{});
+  QueryService::Config cfg;
+  cfg.workers = 1;
+  QueryService service(engine, fleet, cfg);
+  const auto inline_query = [](std::uint64_t seed) {
+    QueryRequest req;
+    req.edges = gen::generate_er(60, 150, seed);
+    return req;
+  };
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const auto reply = service.submit(inline_query(seed)).get();
+    ASSERT_EQ(reply.status, QueryStatus::kOk) << seed;
+    EXPECT_TRUE(reply.valid) << seed;
+    EXPECT_FALSE(reply.cache_hit) << seed;
+  }
+  // An identical graph sent in a later batch is scored and run again.
+  const auto again = service.submit(inline_query(1)).get();
+  ASSERT_EQ(again.status, QueryStatus::kOk);
+  EXPECT_FALSE(again.cache_hit);
+
+  service.shutdown();  // joins the worker: every batch has ended
+  EXPECT_TRUE(service.decision_table().empty());
+  EXPECT_TRUE(fleet.placement_table().empty());
+  EXPECT_EQ(service.selector().observations(), 0u);
+}
+
 }  // namespace
 }  // namespace tcgpu::serve

@@ -1,12 +1,15 @@
 // Serve-layer streaming integration: mutations ride the same admission
 // queue as count queries, bump the dataset version, and invalidate every
-// stale layer (engine cache, pooled device image, selector refinement,
+// stale layer (engine cache, materialized snapshot, selector refinement,
 // sticky picks). Count queries answer against the current snapshot.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace tcgpu::serve {
@@ -274,6 +277,64 @@ TEST(StreamServiceCommitMode, HugeBatchesRecountSmallBatchesDelta) {
   ASSERT_EQ(after.status, QueryStatus::kOk);
   EXPECT_TRUE(after.valid);
   EXPECT_EQ(after.triangles, huge.triangles);
+}
+
+TEST(StreamServiceRace, CountsRacingCommitsMatchTheirVersionsTotal) {
+  // A count resolves the streamed head under the dataset's lock and runs
+  // after dropping it, so a commit on the other worker can move the head
+  // while the count's kernel runs. Writer and reader are separate tenants,
+  // so their queries never share a batch. Every count must be valid and
+  // report the total that its version had.
+  framework::Engine engine(small_engine());
+  QueryService::Config cfg;
+  cfg.workers = 2;
+  QueryService service(engine, cfg);
+  const std::string name = "As-Caida";
+  const auto base = engine.prepare(name);
+  const graph::VertexId v = base->stats.num_vertices;
+  constexpr graph::VertexId kCommits = 32;
+  constexpr std::size_t kMinCounts = 8;
+
+  std::vector<QueryReply> commits;
+  std::vector<QueryReply> counts;
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (graph::VertexId i = 0; i < kCommits; ++i) {
+      // A triangle on three fresh vertices: every commit bumps the version
+      // and adds exactly one triangle.
+      const graph::VertexId a = v + 3 * i;
+      QueryRequest req;
+      req.dataset = name;
+      req.tenant = "writer";
+      req.insert_edges = {{a, a + 1}, {a + 1, a + 2}, {a, a + 2}};
+      commits.push_back(service.submit(std::move(req)).get());
+    }
+    writing = false;
+  });
+  std::thread reader([&] {
+    while (writing.load() || counts.size() < kMinCounts) {
+      QueryRequest req = count_query(name);
+      req.tenant = "reader";
+      counts.push_back(service.submit(std::move(req)).get());
+    }
+  });
+  writer.join();
+  reader.join();
+
+  std::map<std::uint64_t, std::uint64_t> total_at = {
+      {0, base->reference_triangles}};
+  for (const auto& c : commits) {
+    ASSERT_EQ(c.status, QueryStatus::kOk) << c.error;
+    total_at[c.version] = c.triangles;
+  }
+  ASSERT_EQ(total_at.size(), kCommits + 1u);
+  EXPECT_EQ(total_at.rbegin()->second, base->reference_triangles + kCommits);
+  for (const auto& r : counts) {
+    ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
+    EXPECT_TRUE(r.valid) << "v" << r.version;
+    ASSERT_EQ(total_at.count(r.version), 1u) << "v" << r.version;
+    EXPECT_EQ(r.triangles, total_at[r.version]) << "v" << r.version;
+  }
 }
 
 }  // namespace

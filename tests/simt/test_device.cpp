@@ -45,8 +45,6 @@ TEST(Device, TracksBytesAllocated) {
   dev.alloc<std::uint8_t>(7);
   EXPECT_EQ(dev.bytes_allocated(), 407u);
   EXPECT_EQ(dev.allocation_count(), 2u);
-  dev.free_all();
-  EXPECT_EQ(dev.bytes_allocated(), 0u);
 }
 
 TEST(Device, ZeroSizedAllocationIsValid) {
@@ -60,42 +58,6 @@ TEST(Device, AllocationsAreZeroInitialized) {
   Device dev;
   auto buf = dev.alloc<std::uint64_t>(257);
   for (const auto v : buf.host_span()) EXPECT_EQ(v, 0u);
-}
-
-TEST(Device, ReleaseToMarkRewindsTheAddressSpace) {
-  Device dev;
-  dev.alloc<std::uint32_t>(100);
-  const auto m = dev.mark();
-  auto scratch = dev.alloc<std::uint64_t>(50);
-  const std::uint64_t scratch_base = scratch.base_addr();
-  dev.release_to(m);
-  EXPECT_EQ(dev.allocation_count(), m.allocation_count);
-  EXPECT_EQ(dev.bytes_allocated(), m.bytes_allocated);
-  // The next allocation lands exactly where the released one did: repeated
-  // mark/release cycles replay the same address stream.
-  auto again = dev.alloc<std::uint64_t>(50);
-  EXPECT_EQ(again.base_addr(), scratch_base);
-}
-
-TEST(Device, ReleaseToStaleMarkThrows) {
-  Device dev;
-  dev.alloc<std::uint32_t>(4);
-  const auto m = dev.mark();
-  dev.free_all();  // m now names more allocations than exist
-  EXPECT_THROW(dev.release_to(m), std::invalid_argument);
-}
-
-TEST(Device, ExplicitBaseAddressIsAlignedUpAndSurvivesFreeAll) {
-  Device dev(0x12345);  // not 128-byte aligned
-  auto a = dev.alloc<std::uint32_t>(1);
-  EXPECT_EQ(a.base_addr() % 128, 0u);
-  EXPECT_GE(a.base_addr(), 0x12345u);
-  EXPECT_LT(a.base_addr(), 0x12345u + 128u);
-  const std::uint64_t first = a.base_addr();
-  dev.alloc<std::uint32_t>(9);
-  dev.free_all();
-  // free_all returns to the configured base, not the default one.
-  EXPECT_EQ(dev.alloc<std::uint32_t>(1).base_addr(), first);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(CompressedImage, UploadIsSmallerThanRawForRealDags) {
       cmp_dev, graph::CompressedCsr::compress(dag));
 
   EXPECT_GT(cmp.compressed_bytes, 0u);
-  EXPECT_LT(cmp_dev.mark().bytes_allocated, raw_dev.mark().bytes_allocated);
+  EXPECT_LT(cmp_dev.bytes_allocated(), raw_dev.bytes_allocated());
   EXPECT_EQ(cmp.num_vertices, raw.num_vertices);
   EXPECT_EQ(cmp.num_edges, raw.num_edges);
   EXPECT_EQ(cmp.max_out_degree, raw.max_out_degree);
