@@ -7,9 +7,10 @@
 // first mutation moves the dataset onto a stream::DynamicGraph; each batch
 // commits as one delta (only wedges incident to the touched endpoints are
 // re-intersected, on the simulated GPU), bumps the dataset's version, and
-// invalidates every stale layer — cached prepares, the old snapshot's
-// device image, selector refinement, and sticky picks. Count queries then
-// answer against the current version.
+// invalidates every stale layer — the engine's cached prepares, the
+// materialized snapshot, cached results and placements, selector
+// refinement, and sticky picks. Count queries then answer against the
+// current version.
 #include <cstdio>
 #include <future>
 

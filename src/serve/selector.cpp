@@ -8,15 +8,6 @@ namespace tcgpu::serve {
 
 namespace {
 
-/// Mutation-cost constants, calibrated against bench/stream_churn on the
-/// v100 preset: per-op delta staging cost (normalize, overlay, wedge-stage
-/// both endpoints' rows, amortized COW segment rebuild) and the recount-side
-/// scale on the merge-family full-kernel work. Their ratio pins the
-/// delta-vs-recount crossover — As-Caida at the default cap flips near
-/// batch 1024, matching the measured churn curves.
-constexpr double kDeltaOpCost = 38.0;
-constexpr double kRecountCost = 1.0;
-
 /// Graph identity for refinement keys: a splitmix64 mix of the stats fields
 /// that pin a prepared graph. Deterministic across runs and platforms.
 std::uint64_t graph_identity(const graph::GraphStats& s) {
@@ -41,7 +32,6 @@ double log2_safe(double v) { return std::log2(std::max(2.0, v)); }
 const char* to_string(Hint h) {
   switch (h) {
     case Hint::kAuto: return "auto";
-    case Hint::kLatency: return "latency";
     case Hint::kAccuracy: return "accuracy";
   }
   return "?";
@@ -230,29 +220,6 @@ double Selector::refinement(const std::string& algorithm,
 std::size_t Selector::observations() const {
   std::lock_guard lk(mu_);
   return observed_.size();
-}
-
-MutationCost Selector::mutation_cost(const graph::GraphStats& stats,
-                                     std::size_t batch_ops) const {
-  const double davg = std::max(1.0, stats.avg_out_degree);
-  const double edges = static_cast<double>(stats.num_undirected_edges);
-  const double s2 = static_cast<double>(stats.sum_out_degree_sq);
-  // Delta path: each op stages the wedges incident to its endpoints (two
-  // adjacency scans of ~d_avg) plus the fixed per-op staging overhead the
-  // calibration folds in. Linear in the batch.
-  const double delta_work = static_cast<double>(batch_ops) * kDeltaOpCost *
-                            2.0 * (davg + 1.0);
-  // Recount path: one merge-family full kernel over the post-commit graph —
-  // the shape the selector would typically dispatch — independent of the
-  // batch size.
-  const double recount_work = kRecountCost * (s2 + edges * davg);
-  MutationCost mc;
-  mc.delta_ms = cfg_.spec.parallel_cycles_to_ms(delta_work) +
-                cfg_.spec.launch_overhead_ms(1);
-  mc.recount_ms = cfg_.spec.parallel_cycles_to_ms(recount_work) +
-                  cfg_.spec.launch_overhead_ms(1);
-  mc.use_delta = mc.delta_ms <= mc.recount_ms;
-  return mc;
 }
 
 PlacementCost Selector::sharded_cost(const std::string& algorithm,

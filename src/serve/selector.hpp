@@ -41,6 +41,10 @@
 // for unseen graphs stay on the fitted constants — one noisy residual
 // never perturbs the whole calibration, and the folded state is
 // order-independent for a fixed workload set.
+//
+// Only count queries are scored. A mutation batch of any size commits
+// through stream::DynamicGraph's one delta path, so there is nothing to
+// choose between.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +62,8 @@ namespace tcgpu::serve {
 
 /// Query-time preference. kAccuracy excludes algorithms with known failure
 /// modes (the paper reports H-INDEX mis-counting on large high-degree
-/// graphs); kLatency and kAuto score the full registry.
-enum class Hint { kAuto, kLatency, kAccuracy };
+/// graphs); kAuto scores the full registry.
+enum class Hint { kAuto, kAccuracy };
 
 const char* to_string(Hint h);
 
@@ -75,18 +79,6 @@ struct CostBreakdown {
 struct Candidate {
   std::string algorithm;
   CostBreakdown cost;
-};
-
-/// Modeled cost of applying one mutation batch to a served graph: commit the
-/// incremental delta kernel (work ∝ batch size) vs recounting the whole
-/// post-commit graph with a full kernel (work ∝ graph size). The serving
-/// layer dispatches whichever side is cheaper; the constants are calibrated
-/// so the crossover lands where bench/stream_churn measures it (As-Caida
-/// flips to recount around batch 1024).
-struct MutationCost {
-  double delta_ms = 0.0;    ///< incremental delta-kernel commit
-  double recount_ms = 0.0;  ///< full-kernel recount of the new snapshot
-  bool use_delta = true;    ///< delta_ms <= recount_ms
 };
 
 /// Modeled cost of one fleet placement: run the chosen kernel across
@@ -174,11 +166,6 @@ class Selector {
 
   /// Number of distinct (algorithm, graph) observations folded so far.
   std::size_t observations() const;
-
-  /// Models delta-commit vs full-kernel recount for a `batch_ops`-operation
-  /// mutation batch against a graph with these stats (see MutationCost).
-  MutationCost mutation_cost(const graph::GraphStats& stats,
-                             std::size_t batch_ops) const;
 
   /// Models running `algorithm` split across `devices` even shards on a
   /// hosts x devices-per-host cluster, starting from its single-device

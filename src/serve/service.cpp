@@ -317,15 +317,7 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
     p.trace.run_start = now();
     stream::CommitResult cr;
     try {
-      // Delta vs recount: the delta kernel's cost grows with the batch, a
-      // full recount's with the graph — the selector models the crossover
-      // and the commit takes whichever side is cheaper (both are exact and
-      // produce bit-identical snapshots).
-      const stream::CommitMode mode =
-          selector_.mutation_cost(old_stats, ops.size()).use_delta
-              ? stream::CommitMode::kDelta
-              : stream::CommitMode::kRecount;
-      cr = ss->dyn->commit(ops, mode);
+      cr = ss->dyn->commit(ops);
     } catch (const std::exception& e) {
       p.trace.run_done = now();
       reply.status = QueryStatus::kError;
@@ -334,7 +326,6 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
       return;
     }
     p.trace.run_done = now();
-    if (cr.recounted) reply.algorithm = "stream-recount";
 
     changed = cr.changed;
     new_version = cr.version;

@@ -12,8 +12,7 @@ std::vector<EdgeOp> ChurnGenerator::next_batch(const Snapshot& snap,
   if (V < 2) return ops;
 
   for (std::size_t i = 0; i < n; ++i) {
-    const bool want_insert =
-        snap.num_edges() == 0 || rng_.chance(cfg_.insert_fraction);
+    const bool want_insert = snap.num_edges() == 0 || rng_.chance(0.5);
     if (!want_insert) {
       // Delete: a uniform vertex with neighbors, then a uniform neighbor.
       // Bounded retries keep the generator total even on sparse tails.

@@ -1,11 +1,12 @@
 // Deterministic edge-churn workload generator for the streaming layer.
 //
-// Batches are sampled against a live Snapshot: deletes pick an existing
-// edge (uniform vertex, then uniform neighbor), inserts pick uniform vertex
-// pairs biased away from existing edges by a few retries. Seeded by
-// SplitMix64, so a (seed, snapshot-sequence) pair reproduces the identical
-// op stream on any platform — what the equivalence and determinism tests
-// rely on, and what makes bench/stream_churn comparable across runs.
+// Batches are sampled against a live Snapshot: each op is an insert or a
+// delete with equal probability; deletes pick an existing edge (uniform
+// vertex, then uniform neighbor), inserts pick uniform vertex pairs biased
+// away from existing edges by a few retries. Seeded by SplitMix64, so a
+// (seed, snapshot-sequence) pair reproduces the identical op stream on any
+// platform — what the equivalence and determinism tests rely on, and what
+// makes bench/stream_churn comparable across runs.
 #pragma once
 
 #include <cstdint>
@@ -17,14 +18,9 @@
 
 namespace tcgpu::stream {
 
-struct ChurnConfig {
-  double insert_fraction = 0.5;  ///< probability an op is an insert
-};
-
 class ChurnGenerator {
  public:
-  explicit ChurnGenerator(std::uint64_t seed, ChurnConfig cfg = {})
-      : rng_(seed), cfg_(cfg) {}
+  explicit ChurnGenerator(std::uint64_t seed) : rng_(seed) {}
 
   /// Samples `n` ops against `snap`'s topology. Ops within one batch can
   /// collide (duplicate inserts, deletes of an edge another op removes) —
@@ -34,7 +30,6 @@ class ChurnGenerator {
 
  private:
   gen::SplitMix64 rng_;
-  ChurnConfig cfg_;
 };
 
 }  // namespace tcgpu::stream

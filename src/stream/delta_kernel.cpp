@@ -9,83 +9,49 @@
 
 namespace tcgpu::stream {
 
+namespace {
+
+constexpr std::uint32_t kBlock = 256;  ///< threads per block
+
+}  // namespace
+
 DeltaOutcome intersect_wedges(const simt::GpuSpec& spec,
                               std::span<const graph::VertexId> lists,
-                              std::span<const WedgeJob> jobs,
-                              std::uint32_t block) {
+                              std::span<const WedgeJob> jobs) {
   DeltaOutcome out;
   const std::size_t num_jobs = jobs.size();
-  out.match_off.assign(num_jobs + 1, 0);
   if (num_jobs == 0) return out;
-
-  // Capacity prefix: job j can match at most min(|A|, |B|) elements; each
-  // thread writes into its own disjoint slice, so no output atomics.
-  std::vector<std::uint32_t> cap_off(num_jobs + 1, 0);
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    const std::uint32_t cap =
-        std::min(jobs[j].a_hi - jobs[j].a_lo, jobs[j].b_hi - jobs[j].b_lo);
-    cap_off[j + 1] = cap_off[j] + cap;
-  }
-  const std::uint32_t total_cap = cap_off.back();
 
   simt::Device dev;
   auto d_lists = dev.alloc<graph::VertexId>(lists.size(), "stream.lists");
   auto d_ranges = dev.alloc<std::uint32_t>(num_jobs * 4, "stream.ranges");
-  auto d_out_off = dev.alloc<std::uint32_t>(num_jobs, "stream.out_off");
-  auto d_matches = dev.alloc<graph::VertexId>(total_cap == 0 ? 1 : total_cap,
-                                              "stream.matches");
   auto d_counts = dev.alloc<std::uint32_t>(num_jobs, "stream.counts");
 
   std::copy(lists.begin(), lists.end(), d_lists.host_span().begin());
   {
     auto ranges = d_ranges.host_span();
-    auto off = d_out_off.host_span();
     for (std::size_t j = 0; j < num_jobs; ++j) {
       ranges[j * 4 + 0] = jobs[j].a_lo;
       ranges[j * 4 + 1] = jobs[j].a_hi;
       ranges[j * 4 + 2] = jobs[j].b_lo;
       ranges[j * 4 + 3] = jobs[j].b_hi;
-      off[j] = cap_off[j];
     }
   }
 
-  const std::uint32_t grid = tc::pick_grid(spec, num_jobs, 1, block);
+  const std::uint32_t grid = tc::pick_grid(spec, num_jobs, 1, kBlock);
   out.stats = simt::launch_threads(
-      spec, grid, block, num_jobs, [&](simt::ThreadCtx& ctx, std::uint64_t j) {
+      spec, grid, kBlock, num_jobs, [&](simt::ThreadCtx& ctx, std::uint64_t j) {
         const std::uint32_t a_lo = ctx.load(d_ranges, j * 4 + 0, TCGPU_SITE());
         const std::uint32_t a_hi = ctx.load(d_ranges, j * 4 + 1, TCGPU_SITE());
         const std::uint32_t b_lo = ctx.load(d_ranges, j * 4 + 2, TCGPU_SITE());
         const std::uint32_t b_hi = ctx.load(d_ranges, j * 4 + 3, TCGPU_SITE());
-        const std::uint32_t base = ctx.load(d_out_off, j, TCGPU_SITE());
-        std::uint32_t found = 0;
-        tc::intersect::merge_collect_probed(
-            a_hi - a_lo, b_hi - b_lo,
-            [&](std::uint32_t i) {
-              return ctx.load(d_lists, a_lo + i, TCGPU_SITE());
-            },
-            [&](std::uint32_t i) {
-              return ctx.load(d_lists, b_lo + i, TCGPU_SITE());
-            },
-            [&](graph::VertexId w, std::uint32_t, std::uint32_t) {
-              ctx.store(d_matches, base + found, w, TCGPU_SITE());
-              ++found;
-            });
-        ctx.store(d_counts, j, found, TCGPU_SITE());
+        const auto found = tc::intersect::MergeSequential::count(
+            ctx, {&d_lists, a_lo, a_hi}, {&d_lists, b_lo, b_hi});
+        ctx.store(d_counts, j, static_cast<std::uint32_t>(found), TCGPU_SITE());
       });
 
-  // Read back and compact the capacity-spaced matches into a tight prefix.
   const auto counts = d_counts.host_span();
-  const auto matches = d_matches.host_span();
   out.counts.assign(counts.begin(), counts.end());
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    out.match_off[j + 1] = out.match_off[j] + counts[j];
-  }
-  out.matches.reserve(out.match_off.back());
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    for (std::uint32_t k = 0; k < counts[j]; ++k) {
-      out.matches.push_back(matches[cap_off[j] + k]);
-    }
-  }
   return out;
 }
 

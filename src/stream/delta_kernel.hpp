@@ -3,12 +3,11 @@
 // A batch of effective edge ops becomes one WedgeJob per op — the two
 // endpoint neighborhoods, staged (pre-op, in sequential batch order) into
 // one flat device array. One simulated thread per job merges its pair of
-// sorted lists (composing intersect::merge_collect_probed with metered
-// probes) and writes every common neighbor out: for an insert (u,v), each
-// surviving w is a new triangle {u,v,w}; for a delete, a destroyed one.
-// The host folds the per-job counts into the global triangle delta and the
-// matches into per-edge support deltas — no full kernel rerun, work
-// proportional to the touched neighborhoods only.
+// sorted lists with tc::intersect::MergeSequential and stores one count,
+// |N(u) ∩ N(v)|: for an insert (u,v), the triangles {u,v,w} it closes; for
+// a delete, the ones it opens — the per-edge merge count of Polak's kernel.
+// The host folds the signed counts into the global triangle delta — no
+// full kernel rerun, work proportional to the touched neighborhoods only.
 //
 // Determinism: one lane per job with a fixed item order, so KernelStats are
 // bit-identical across OMP host-thread counts (the simulator contract
@@ -37,16 +36,13 @@ struct WedgeJob {
 
 struct DeltaOutcome {
   simt::KernelStats stats;
-  std::vector<std::uint32_t> counts;     ///< per job: |A ∩ B|
-  std::vector<std::uint32_t> match_off;  ///< size jobs+1, prefix into matches
-  std::vector<graph::VertexId> matches;  ///< common neighbors, ascending per job
+  std::vector<std::uint32_t> counts;  ///< per job: |A ∩ B|
 };
 
-/// Uploads the staged lists and job ranges, runs one thread per job, reads
-/// back counts and matches. `block` is threads per block (multiple of 32).
+/// Uploads the staged lists and job ranges, runs one thread per job in
+/// 256-thread blocks, reads back the per-job counts.
 DeltaOutcome intersect_wedges(const simt::GpuSpec& spec,
                               std::span<const graph::VertexId> lists,
-                              std::span<const WedgeJob> jobs,
-                              std::uint32_t block = 256);
+                              std::span<const WedgeJob> jobs);
 
 }  // namespace tcgpu::stream

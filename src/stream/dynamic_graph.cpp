@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
+#include "graph/cpu_reference.hpp"
 #include "graph/prepare.hpp"
 #include "stream/delta_kernel.hpp"
-#include "tc/support.hpp"
 
 namespace tcgpu::stream {
 
@@ -18,18 +17,29 @@ namespace {
 /// per-vertex state. Ops past it are counted as skipped.
 constexpr graph::VertexId kMaxVertices = 1u << 27;
 
-std::uint64_t edge_key(graph::VertexId a, graph::VertexId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
+/// Copy-on-write segments covering ids [0, V).
+std::size_t segments_for(graph::VertexId V) {
+  return (static_cast<std::size_t>(V) + Snapshot::kSegmentSize - 1) >>
+         Snapshot::kSegmentShift;
 }
 
-/// Accumulated support change for one surviving edge, folded in batch
-/// order. `fresh` marks an edge (re)inserted this batch: its support
-/// rebuilds from zero plus the insert job's match count, so contributions
-/// from before a delete→reinsert are correctly discarded.
-struct SupAcc {
-  bool fresh = false;
-  std::int64_t delta = 0;
-};
+/// Segment `s` of a V-vertex graph whose undirected rows are `row(x)`.
+template <class RowFn>
+std::shared_ptr<const Snapshot::Segment> build_segment(std::size_t s,
+                                                       graph::VertexId V,
+                                                       RowFn&& row) {
+  auto seg = std::make_shared<Snapshot::Segment>();
+  seg->off.assign(Snapshot::kSegmentSize + 1, 0);
+  for (std::uint32_t local = 0; local < Snapshot::kSegmentSize; ++local) {
+    const std::uint64_t id = (s << Snapshot::kSegmentShift) + local;
+    if (id < V) {
+      const auto r = row(static_cast<graph::VertexId>(id));
+      seg->adj.insert(seg->adj.end(), r.begin(), r.end());
+    }
+    seg->off[local + 1] = static_cast<graph::EdgeIndex>(seg->adj.size());
+  }
+  return seg;
+}
 
 graph::EdgeIndex hist_max(const std::vector<std::uint64_t>& h) {
   for (std::size_t d = h.size(); d-- > 0;) {
@@ -82,36 +92,16 @@ DynamicGraph::DynamicGraph(const graph::Csr& dag, Config cfg)
         "DynamicGraph: DAG must be id-oriented (u < v) with sorted rows");
   }
 
-  const auto sup = tc::cpu_edge_support(dag);
-  std::uint64_t sup_sum = 0;
-  for (const std::uint32_t s : sup) sup_sum += s;
-
   auto snap = std::make_shared<Snapshot>();
   snap->version_ = 0;
   snap->num_vertices_ = V;
   snap->num_edges_ = dag.num_edges();
-  snap->triangles_ = sup_sum / 3;
-  const std::size_t nseg =
-      (static_cast<std::size_t>(V) + Snapshot::kSegmentSize - 1) >>
-      Snapshot::kSegmentShift;
+  snap->triangles_ = graph::count_triangles_forward_parallel(dag);
+  const std::size_t nseg = segments_for(V);
   snap->segments_.reserve(nseg);
   for (std::size_t s = 0; s < nseg; ++s) {
-    auto seg = std::make_shared<Snapshot::Segment>();
-    seg->off.assign(Snapshot::kSegmentSize + 1, 0);
-    for (std::uint32_t local = 0; local < Snapshot::kSegmentSize; ++local) {
-      const std::uint64_t id = (s << Snapshot::kSegmentShift) + local;
-      if (id < V) {
-        const auto v = static_cast<graph::VertexId>(id);
-        const auto row = undirected.neighbors(v);
-        std::size_t out_k = 0;  // support lives in the DAG-direction slots
-        for (const graph::VertexId w : row) {
-          seg->adj.push_back(w);
-          seg->sup.push_back(w > v ? sup[dag.row_ptr()[v] + out_k++] : 0);
-        }
-      }
-      seg->off[local + 1] = static_cast<graph::EdgeIndex>(seg->adj.size());
-    }
-    snap->segments_.push_back(std::move(seg));
+    snap->segments_.push_back(build_segment(
+        s, V, [&](graph::VertexId v) { return undirected.neighbors(v); }));
   }
 
   degree_.assign(V, 0);
@@ -158,10 +148,6 @@ graph::GraphStats DynamicGraph::make_stats() const {
 }
 
 CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops) {
-  return commit(ops, CommitMode::kDelta);
-}
-
-CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops, CommitMode mode) {
   std::lock_guard lk(mu_);
   const std::shared_ptr<const Snapshot> base = head_;
   CommitResult res;
@@ -195,13 +181,9 @@ CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops, CommitMode mode) 
     return it->second;
   };
 
-  struct StagedJob {
-    graph::VertexId a, b;
-    bool insert;
-  };
   std::vector<graph::VertexId> staged;
-  std::vector<StagedJob> jobs;
-  std::vector<WedgeJob> ranges;
+  std::vector<WedgeJob> jobs;
+  std::vector<bool> inserts;  // per job: the op's sign
 
   for (const EdgeOp& op : ops) {
     const graph::VertexId a = std::min(op.u, op.v);
@@ -225,21 +207,19 @@ CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops, CommitMode mode) 
       cur_V = b + 1;
     }
 
-    if (mode == CommitMode::kDelta) {
-      // Stage the pre-op neighborhoods. Neither contains a common element
-      // through the edge itself (w == a or w == b is impossible), so the
-      // intersection is exactly the wedge set the op opens or closes.
-      const auto rb = cur_row(b);
-      WedgeJob w;
-      w.a_lo = static_cast<std::uint32_t>(staged.size());
-      staged.insert(staged.end(), ra.begin(), ra.end());
-      w.a_hi = static_cast<std::uint32_t>(staged.size());
-      w.b_lo = w.a_hi;
-      staged.insert(staged.end(), rb.begin(), rb.end());
-      w.b_hi = static_cast<std::uint32_t>(staged.size());
-      ranges.push_back(w);
-      jobs.push_back({a, b, op.insert});
-    }
+    // Stage the pre-op neighborhoods. Neither contains a common element
+    // through the edge itself (w == a or w == b is impossible), so the
+    // intersection is exactly the wedge set the op opens or closes.
+    const auto rb = cur_row(b);
+    WedgeJob w;
+    w.a_lo = static_cast<std::uint32_t>(staged.size());
+    staged.insert(staged.end(), ra.begin(), ra.end());
+    w.a_hi = static_cast<std::uint32_t>(staged.size());
+    w.b_lo = w.a_hi;
+    staged.insert(staged.end(), rb.begin(), rb.end());
+    w.b_hi = static_cast<std::uint32_t>(staged.size());
+    jobs.push_back(w);
+    inserts.push_back(op.insert);
 
     auto& va = mut_row(a);
     auto& vb = mut_row(b);
@@ -276,112 +256,26 @@ CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops, CommitMode mode) 
     return res;  // nothing effective: version does not move
   }
 
-  if (mode == CommitMode::kRecount) {
-    // ---- recount path: rebuild everything from the post-commit rows ------
-    // Materialize the new DAG (the u < v slots of every row) and recount
-    // per-edge support from scratch — the seed constructor's path, so the
-    // published snapshot is bit-identical to one the delta path would have
-    // produced, at whole-graph instead of per-batch cost.
-    std::vector<graph::EdgeIndex> rp(static_cast<std::size_t>(cur_V) + 1, 0);
-    std::vector<graph::VertexId> col;
-    for (graph::VertexId x = 0; x < cur_V; ++x) {
-      const auto row = cur_row(x);
-      col.insert(col.end(),
-                 std::upper_bound(row.begin(), row.end(), x), row.end());
-      rp[x + 1] = static_cast<graph::EdgeIndex>(col.size());
-    }
-    const graph::Csr dag(std::move(rp), std::move(col));
-    const auto sup = tc::cpu_edge_support(dag);
-    std::uint64_t sup_sum = 0;
-    for (const std::uint32_t s : sup) sup_sum += s;
-
-    auto snap = std::make_shared<Snapshot>();
-    snap->version_ = base->version() + 1;
-    snap->num_vertices_ = cur_V;
-    snap->num_edges_ = num_edges_;
-    snap->triangles_ = sup_sum / 3;
-    snap->stats_ = make_stats();
-    const std::size_t nseg =
-        (static_cast<std::size_t>(cur_V) + Snapshot::kSegmentSize - 1) >>
-        Snapshot::kSegmentShift;
-    snap->segments_.reserve(nseg);
-    for (std::size_t s = 0; s < nseg; ++s) {
-      auto seg = std::make_shared<Snapshot::Segment>();
-      seg->off.assign(Snapshot::kSegmentSize + 1, 0);
-      for (std::uint32_t local = 0; local < Snapshot::kSegmentSize; ++local) {
-        const std::uint64_t id = (s << Snapshot::kSegmentShift) + local;
-        if (id < cur_V) {
-          const auto x = static_cast<graph::VertexId>(id);
-          std::size_t out_k = 0;
-          for (const graph::VertexId y : cur_row(x)) {
-            seg->adj.push_back(y);
-            seg->sup.push_back(y > x ? sup[dag.row_ptr()[x] + out_k++] : 0);
-          }
-        }
-        seg->off[local + 1] = static_cast<graph::EdgeIndex>(seg->adj.size());
-      }
-      snap->segments_.push_back(std::move(seg));
-    }
-
-    res.delta_triangles = static_cast<std::int64_t>(snap->triangles_) -
-                          static_cast<std::int64_t>(base->triangles());
-    history_.push_back(head_);
-    while (history_.size() > cfg_.history) history_.pop_front();
-    head_ = snap;
-    res.changed = true;
-    res.recounted = true;
-    res.version = snap->version_;
-    res.triangles = snap->triangles_;
-    return res;
-  }
-
-  // ---- pass 2: the metered delta kernel ----------------------------------
-  const DeltaOutcome delta =
-      intersect_wedges(cfg_.spec, staged, ranges, cfg_.block);
+  // ---- pass 2: the metered delta kernel, folded in batch order -----------
+  const DeltaOutcome delta = intersect_wedges(cfg_.spec, staged, jobs);
   res.stats = delta.stats;
-
-  // ---- pass 3: fold counts and per-edge support, in batch order ----------
-  std::unordered_map<std::uint64_t, SupAcc> acc;
   std::int64_t dtri = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const StagedJob& job = jobs[j];
-    const std::int64_t sign = job.insert ? 1 : -1;
-    dtri += sign * delta.counts[j];
-    if (job.insert) {
-      acc[edge_key(job.a, job.b)] =
-          SupAcc{true, static_cast<std::int64_t>(delta.counts[j])};
-    } else {
-      acc.erase(edge_key(job.a, job.b));  // a dead edge keeps no support
-    }
-    for (std::uint32_t k = delta.match_off[j]; k < delta.match_off[j + 1]; ++k) {
-      const graph::VertexId w = delta.matches[k];
-      for (const graph::VertexId x : {job.a, job.b}) {
-        acc[edge_key(std::min(x, w), std::max(x, w))].delta += sign;
-      }
-    }
+    const auto n = static_cast<std::int64_t>(delta.counts[j]);
+    dtri += inserts[j] ? n : -n;
   }
   res.delta_triangles = dtri;
 
-  // ---- pass 4: rebuild only the touched copy-on-write segments -----------
-  // A segment is touched by an adjacency change (overlay), by a support
-  // change on an untouched row (the wedge edge's min endpoint), or by
-  // vertex growth; everything else shares the previous version's segment.
-  std::unordered_set<graph::VertexId> sup_touched;
-  for (const auto& [key, unused] : acc) {
-    sup_touched.insert(static_cast<graph::VertexId>(key >> 32));
-  }
-  std::unordered_set<std::size_t> touched_segs;
-  for (const auto& [v, unused] : overlay) {
-    touched_segs.insert(v >> Snapshot::kSegmentShift);
-  }
-  for (const graph::VertexId v : sup_touched) {
-    touched_segs.insert(v >> Snapshot::kSegmentShift);
-  }
+  // ---- pass 3: rebuild only the segments holding an op endpoint ----------
+  // The overlay's keys are exactly the endpoints of effective ops; segments
+  // past the old vertex count are new. Everything else shares the previous
+  // version's segment.
   const std::size_t old_nseg = base->num_segments();
-  const std::size_t new_nseg =
-      (static_cast<std::size_t>(cur_V) + Snapshot::kSegmentSize - 1) >>
-      Snapshot::kSegmentShift;
-  for (std::size_t s = old_nseg; s < new_nseg; ++s) touched_segs.insert(s);
+  const std::size_t new_nseg = segments_for(cur_V);
+  std::vector<bool> rebuild(new_nseg, false);
+  for (const auto& [x, unused] : overlay) {
+    rebuild[x >> Snapshot::kSegmentShift] = true;
+  }
 
   auto snap = std::make_shared<Snapshot>();
   snap->version_ = base->version() + 1;
@@ -390,48 +284,11 @@ CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops, CommitMode mode) 
   snap->triangles_ =
       static_cast<std::uint64_t>(static_cast<std::int64_t>(base->triangles()) + dtri);
   snap->stats_ = make_stats();
-  snap->segments_.resize(new_nseg);
+  snap->segments_.reserve(new_nseg);
   for (std::size_t s = 0; s < new_nseg; ++s) {
-    if (s < old_nseg) snap->segments_[s] = base->segment(s);
-  }
-  for (const std::size_t s : touched_segs) {
-    auto seg = std::make_shared<Snapshot::Segment>();
-    seg->off.assign(Snapshot::kSegmentSize + 1, 0);
-    for (std::uint32_t local = 0; local < Snapshot::kSegmentSize; ++local) {
-      const std::uint64_t id = (s << Snapshot::kSegmentShift) + local;
-      if (id < cur_V) {
-        const auto x = static_cast<graph::VertexId>(id);
-        const auto ov = overlay.find(x);
-        if (ov == overlay.end() && sup_touched.count(x) == 0) {
-          // Innocent neighbor in a touched segment: verbatim row copy.
-          const auto row = base_row(x);
-          const auto srow =
-              x < base_V ? base->support_row(x) : std::span<const std::uint32_t>{};
-          seg->adj.insert(seg->adj.end(), row.begin(), row.end());
-          seg->sup.insert(seg->sup.end(), srow.begin(), srow.end());
-        } else {
-          const auto row = ov != overlay.end()
-                               ? std::span<const graph::VertexId>(
-                                     ov->second.data(), ov->second.size())
-                               : base_row(x);
-          for (const graph::VertexId y : row) {
-            seg->adj.push_back(y);
-            std::uint32_t val = 0;
-            if (y > x) {  // support lives in the DAG-direction slot only
-              const auto it = acc.find(edge_key(x, y));
-              std::int64_t v64 = it != acc.end() && it->second.fresh
-                                     ? 0
-                                     : static_cast<std::int64_t>(base->support(x, y));
-              if (it != acc.end()) v64 += it->second.delta;
-              val = static_cast<std::uint32_t>(v64);
-            }
-            seg->sup.push_back(val);
-          }
-        }
-      }
-      seg->off[local + 1] = static_cast<graph::EdgeIndex>(seg->adj.size());
-    }
-    snap->segments_[s] = std::move(seg);
+    snap->segments_.push_back(rebuild[s] || s >= old_nseg
+                                  ? build_segment(s, cur_V, cur_row)
+                                  : base->segment(s));
   }
 
   history_.push_back(head_);

@@ -3,26 +3,23 @@
 //
 // Seeded from a prepared oriented DAG (u < v for every edge — the
 // framework's relabeled output), it applies batches of inserts/deletes and
-// keeps three quantities exact at every version, without ever re-running a
+// keeps two quantities exact at every version, without ever re-running a
 // full counting kernel:
 //
 //   * the global triangle count — per effective op (u,v), the delta is
 //     ±|N(u) ∩ N(v)| over the neighborhoods at that point of the batch;
 //     the intersections run on the simulated GPU (delta_kernel.hpp),
 //     metered through the tc/intersect/ policy machinery;
-//   * per-edge triangle support — each surviving common neighbor w credits
-//     (±1) the wedge edges (u,w) and (v,w); an inserted edge's own support
-//     is its match count; folded in batch order so insert→delete→reinsert
-//     sequences within one batch stay exact;
 //   * GraphStats — degree/out-degree histograms are maintained per op, so
 //     every snapshot carries the same stats a fresh prepare would compute
 //     (serve::Selector re-scores mutated graphs from them).
 //
-// Every commit publishes a new immutable Snapshot sharing untouched
-// copy-on-write segments with its predecessor; readers holding older
-// snapshots are never invalidated. All host-side state transitions are
-// sequential — the only parallel work is the deterministic delta kernel —
-// so commits are reproducible bit-for-bit across OMP thread counts.
+// Every commit publishes a new immutable Snapshot that rebuilds only the
+// copy-on-write segments holding an op endpoint and shares the rest with
+// its predecessor; readers holding older snapshots are never invalidated.
+// All host-side state transitions are sequential — the only parallel work
+// is the deterministic delta kernel — so commits are reproducible
+// bit-for-bit across OMP thread counts.
 #pragma once
 
 #include <cstdint>
@@ -56,17 +53,8 @@ struct CommitResult {
   std::uint32_t removed = 0;     ///< effective deletes applied
   std::uint32_t skipped = 0;     ///< self-loops, duplicates, absent deletes
   std::uint32_t wedge_jobs = 0;  ///< delta-kernel intersections run
-  bool recounted = false;        ///< CommitMode::kRecount took the full path
   simt::KernelStats stats;       ///< delta kernel's metered stats
 };
-
-/// How commit() re-establishes the triangle count and per-edge support.
-/// kDelta pays work proportional to the batch (staged wedge intersections);
-/// kRecount pays work proportional to the whole post-commit graph (a fresh
-/// support recount, the seed constructor's path). Both produce bit-identical
-/// snapshots; serve::Selector::mutation_cost models which side is cheaper
-/// for a given (graph, batch) and the serving layer dispatches accordingly.
-enum class CommitMode { kDelta, kRecount };
 
 class DynamicGraph {
  public:
@@ -74,12 +62,11 @@ class DynamicGraph {
     simt::GpuSpec spec = simt::GpuSpec::v100();
     /// Past snapshots retained (besides the head) for snapshot_at().
     std::size_t history = 4;
-    std::uint32_t block = 256;  ///< delta-kernel block size
   };
 
   /// Seeds version 0 from an oriented DAG (u < v, rows sorted): symmetrizes
-  /// the adjacency, computes per-edge support (tc::cpu_edge_support) and the
-  /// triangle count, and assembles GraphStats identical to a fresh prepare.
+  /// the adjacency, counts triangles (graph::count_triangles_forward_parallel)
+  /// and assembles GraphStats identical to a fresh prepare.
   explicit DynamicGraph(const graph::Csr& dag) : DynamicGraph(dag, Config{}) {}
   DynamicGraph(const graph::Csr& dag, Config cfg);
 
@@ -88,9 +75,8 @@ class DynamicGraph {
 
   /// Applies one batch in order and publishes a new snapshot (unless no op
   /// was effective, in which case the version does not move). Thread-safe;
-  /// commits serialize. The one-argument form always takes the delta path.
+  /// commits serialize.
   CommitResult commit(std::span<const EdgeOp> ops);
-  CommitResult commit(std::span<const EdgeOp> ops, CommitMode mode);
 
   /// The current version's snapshot (immutable; hold it as long as needed).
   std::shared_ptr<const Snapshot> snapshot() const;

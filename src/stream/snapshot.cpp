@@ -23,14 +23,6 @@ std::span<const graph::VertexId> Snapshot::neighbors(graph::VertexId v) const {
   return {seg.adj.data() + seg.off[local], seg.adj.data() + seg.off[local + 1]};
 }
 
-std::span<const std::uint32_t> Snapshot::support_row(graph::VertexId v) const {
-  const std::size_t s = v >> kSegmentShift;
-  if (s >= segments_.size()) return {};
-  const Segment& seg = *segments_[s];
-  const std::uint32_t local = v & (kSegmentSize - 1);
-  return {seg.sup.data() + seg.off[local], seg.sup.data() + seg.off[local + 1]};
-}
-
 graph::EdgeIndex Snapshot::degree(graph::VertexId v) const {
   return static_cast<graph::EdgeIndex>(neighbors(v).size());
 }
@@ -45,15 +37,6 @@ bool Snapshot::has_edge(graph::VertexId u, graph::VertexId v) const {
   return std::binary_search(row.begin(), row.end(), v);
 }
 
-std::uint32_t Snapshot::support(graph::VertexId u, graph::VertexId v) const {
-  // Canonicalize to the DAG direction: the slot lives with the min endpoint.
-  const graph::VertexId a = std::min(u, v), b = std::max(u, v);
-  const auto row = neighbors(a);
-  const auto it = std::lower_bound(row.begin(), row.end(), b);
-  if (it == row.end() || *it != b) return 0;
-  return support_row(a)[static_cast<std::size_t>(it - row.begin())];
-}
-
 graph::Csr Snapshot::materialize_dag() const {
   std::vector<graph::EdgeIndex> row_ptr(static_cast<std::size_t>(num_vertices_) + 1, 0);
   for (graph::VertexId v = 0; v < num_vertices_; ++v) {
@@ -66,19 +49,6 @@ graph::Csr Snapshot::materialize_dag() const {
     col.insert(col.end(), row.begin() + suffix_begin(row, v), row.end());
   }
   return graph::Csr(std::move(row_ptr), std::move(col));
-}
-
-std::vector<std::uint32_t> Snapshot::materialize_support() const {
-  std::vector<std::uint32_t> out;
-  out.reserve(num_edges_);
-  for (graph::VertexId v = 0; v < num_vertices_; ++v) {
-    const auto row = neighbors(v);
-    const auto sup = support_row(v);
-    for (std::size_t k = suffix_begin(row, v); k < row.size(); ++k) {
-      out.push_back(sup[k]);
-    }
-  }
-  return out;
 }
 
 }  // namespace tcgpu::stream

@@ -12,9 +12,8 @@
 // edge (rank == id), the oriented out-list of v is exactly the suffix of its
 // undirected list where neighbors exceed v — one array serves both the
 // wedge-delta kernel (which needs full neighborhoods) and materialize_dag()
-// (which the static kernels consume). Per-edge triangle support is stored
-// alongside, in the slot of the edge's min endpoint (its DAG direction), so
-// k-truss-style maintenance rides the same copy-on-write unit.
+// (which the static kernels consume). A snapshot holds only what a reply
+// reads: this adjacency, the global triangle count and GraphStats.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +40,6 @@ class Snapshot {
   struct Segment {
     std::vector<graph::EdgeIndex> off;  ///< kSegmentSize + 1 row offsets
     std::vector<graph::VertexId> adj;   ///< sorted undirected neighbors
-    /// Aligned with adj; meaningful only in DAG direction (adj[k] > vertex):
-    /// triangles containing that edge. In-edge slots are zero.
-    std::vector<std::uint32_t> sup;
   };
 
   std::uint64_t version() const { return version_; }
@@ -55,22 +51,15 @@ class Snapshot {
 
   /// Sorted undirected neighbor list of v.
   std::span<const graph::VertexId> neighbors(graph::VertexId v) const;
-  /// Support slots aligned with neighbors(v) (see Segment::sup).
-  std::span<const std::uint32_t> support_row(graph::VertexId v) const;
   graph::EdgeIndex degree(graph::VertexId v) const;
   /// Oriented out-degree: neighbors of v greater than v.
   graph::EdgeIndex out_degree(graph::VertexId v) const;
   bool has_edge(graph::VertexId u, graph::VertexId v) const;
-  /// Triangle support of undirected edge {u, v}; 0 when the edge is absent.
-  std::uint32_t support(graph::VertexId u, graph::VertexId v) const;
 
   /// The oriented DAG (u < v, rows sorted) the static kernels consume —
   /// the suffix of every undirected row. This is what the serve layer hands
   /// to the Engine to answer queries at this version.
   graph::Csr materialize_dag() const;
-  /// Per-edge support in materialize_dag()'s CSR edge order (the layout
-  /// tc::count_edge_support produces).
-  std::vector<std::uint32_t> materialize_support() const;
 
   std::size_t num_segments() const { return segments_.size(); }
   /// Exposed so tests can assert copy-on-write sharing across versions.

@@ -5,16 +5,13 @@
 // is bit-identical to the pre-library code:
 //
 //   MergeSequential     — both cursors reloaded every iteration (Bisson's
-//                         low-degree thread path).
+//                         low-degree thread path; the stream layer's
+//                         wedge-delta kernel counts each job with it).
 //   MergeRegisterCached — only the advanced cursor is reloaded (Polak; the
 //                         whole algorithm's advantage is few loads).
 //   MergeChunked        — one lane merges its equal chunk of A against the
 //                         window of B located by a metered lower_bound
 //                         (Green's merge-path partitioning, Figure 4).
-//
-// Plus a probe-parameterized merge that reports every match (the stream
-// layer's wedge-delta kernel): the probes carry the caller's TCGPU_SITE()s,
-// so sites stay per-kernel.
 #pragma once
 
 #include <cstdint>
@@ -113,34 +110,5 @@ struct MergeChunked {
     return local;
   }
 };
-
-/// Sequential merge over two index spaces with caller-supplied element
-/// probes, reporting every match to `on_match(value, i, j)`. The stream
-/// layer's wedge-delta kernel composes this — delta maintenance needs the
-/// surviving common neighbors themselves, not just their number, to credit
-/// per-edge support. Probes own the metered accesses, so sites stay
-/// attributed to the composing kernel. Returns the match count.
-template <class ProbeA, class ProbeB, class OnMatch>
-std::uint64_t merge_collect_probed(std::uint32_t na, std::uint32_t nb,
-                                   ProbeA&& probe_a, ProbeB&& probe_b,
-                                   OnMatch&& on_match) {
-  std::uint64_t local = 0;
-  std::uint32_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    const std::uint32_t x = probe_a(i);
-    const std::uint32_t y = probe_b(j);
-    if (x == y) {
-      on_match(x, i, j);
-      ++local;
-      ++i;
-      ++j;
-    } else if (x < y) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return local;
-}
 
 }  // namespace tcgpu::tc::intersect

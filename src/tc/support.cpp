@@ -139,33 +139,4 @@ SupportResult count_edge_support(simt::Device& dev, const simt::GpuSpec& spec,
   return result;
 }
 
-std::vector<std::uint32_t> cpu_edge_support(const graph::Csr& dag) {
-  std::vector<std::uint32_t> support(dag.num_edges(), 0);
-  const auto& row_ptr = dag.row_ptr();
-  for (graph::VertexId u = 0; u < dag.num_vertices(); ++u) {
-    const auto nu = dag.neighbors(u);
-    for (std::size_t iv = 0; iv < nu.size(); ++iv) {
-      const graph::VertexId v = nu[iv];
-      const auto nv = dag.neighbors(v);
-      // Merge N+(u) against N+(v); each match (u,w) at i, (v,w) at j closes
-      // the triangle (u,v,w) — credit all three edges by CSR position.
-      std::size_t i = 0, j = 0;
-      while (i < nu.size() && j < nv.size()) {
-        if (nu[i] == nv[j]) {
-          ++support[row_ptr[u] + iv];
-          ++support[row_ptr[u] + i];
-          ++support[row_ptr[v] + j];
-          ++i;
-          ++j;
-        } else if (nu[i] < nv[j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-    }
-  }
-  return support;
-}
-
 }  // namespace tcgpu::tc

@@ -7,11 +7,11 @@
 // is in CSR order, a match found at column index i *is* the edge id of the
 // corresponding DAG edge, so each discovered triangle (u,v,w) can credit
 // all three of its edges with plain atomics.
+//
+// This is the repo's one per-edge support computation, on the static path
+// (apps/ktruss peels on it); src/stream/ maintains global counts only.
 #pragma once
 
-#include <vector>
-
-#include "graph/csr.hpp"
 #include "tc/common.hpp"
 
 namespace tcgpu::tc {
@@ -28,11 +28,5 @@ SupportResult count_edge_support(simt::Device& dev, const simt::GpuSpec& spec,
                                  const DeviceGraph& g,
                                  simt::DeviceBuffer<std::uint32_t>& support,
                                  std::uint32_t block = 256);
-
-/// Host-side reference: support[e] in the DAG's CSR edge order, by plain
-/// forward-algorithm row intersections. The streaming layer seeds its
-/// per-edge support store from this, and the churn equivalence tests
-/// recount with it at every version.
-std::vector<std::uint32_t> cpu_edge_support(const graph::Csr& dag);
 
 }  // namespace tcgpu::tc

@@ -250,27 +250,24 @@ TEST(StreamServicePinned, PinErrorsAreOneLiners) {
   EXPECT_NE(d.error.find("no version history"), std::string::npos);
 }
 
-TEST(StreamServiceCommitMode, HugeBatchesRecountSmallBatchesDelta) {
+TEST(StreamService, HugeBatchCommitsAsOneDelta) {
   framework::Engine engine(small_engine());
   QueryService service(engine);
 
-  // A single-op batch is firmly on the delta side of the cost model.
-  const auto small = service.submit(growing_mutation(engine, "As-Caida")).get();
-  ASSERT_EQ(small.status, QueryStatus::kOk);
-  EXPECT_EQ(small.algorithm, "stream-delta");
-
-  // A batch far past the crossover commits as a full recount — and the
-  // maintained state stays exact either way.
+  // A 4,000-op batch takes the one commit path — a single metered delta
+  // kernel — and the maintained state stays exact.
   const auto before = service.submit(count_query("As-Caida")).get();
+  ASSERT_EQ(before.status, QueryStatus::kOk);
   const auto v = engine.prepare("As-Caida")->stats.num_vertices;
   QueryRequest bulk;
   bulk.dataset = "As-Caida";
   for (graph::VertexId i = 0; i < 4'000; ++i) {
-    bulk.insert_edges.push_back({v + 2 + i, v + 2 + i + 1});
+    bulk.insert_edges.push_back({v + i, v + i + 1});
   }
   const auto huge = service.submit(std::move(bulk)).get();
   ASSERT_EQ(huge.status, QueryStatus::kOk);
-  EXPECT_EQ(huge.algorithm, "stream-recount");
+  EXPECT_EQ(huge.algorithm, "stream-delta");
+  EXPECT_GT(huge.stats.time_ms, 0.0);
   EXPECT_EQ(huge.triangles, before.triangles);  // a path chain closes nothing
 
   const auto after = service.submit(count_query("As-Caida")).get();

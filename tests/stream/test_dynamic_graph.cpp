@@ -10,7 +10,6 @@
 #include "graph/prepare.hpp"
 #include "graph/stats.hpp"
 #include "stream/churn.hpp"
-#include "tc/support.hpp"
 
 namespace tcgpu::stream {
 namespace {
@@ -54,7 +53,6 @@ TEST(DynamicGraphSeed, MatchesPreparedGraphExactly) {
   expect_stats_eq(snap->stats(), pg.stats);
   // Round trip: the materialized DAG is the seed DAG.
   EXPECT_EQ(snap->materialize_dag(), pg.dag);
-  EXPECT_EQ(snap->materialize_support(), tc::cpu_edge_support(pg.dag));
 }
 
 TEST(DynamicGraphSeed, RejectsUnorientedInput) {
@@ -75,12 +73,7 @@ TEST(DynamicGraphCommit, SingleInsertClosesTheWedge) {
   EXPECT_GT(cr.wedge_jobs, 0u);
   EXPECT_GT(cr.stats.time_ms, 0.0);  // the delta kernel really ran (metered)
 
-  const auto snap = dyn.snapshot();
-  EXPECT_TRUE(snap->has_edge(0, 2));
-  // Every triangle edge carries support 1.
-  EXPECT_EQ(snap->support(0, 1), 1u);
-  EXPECT_EQ(snap->support(1, 2), 1u);
-  EXPECT_EQ(snap->support(0, 2), 1u);
+  EXPECT_TRUE(dyn.snapshot()->has_edge(0, 2));
 }
 
 TEST(DynamicGraphCommit, SingleDeleteOpensTheTriangle) {
@@ -92,10 +85,7 @@ TEST(DynamicGraphCommit, SingleDeleteOpensTheTriangle) {
   EXPECT_EQ(cr.removed, 1u);
   EXPECT_EQ(cr.delta_triangles, -1);
   EXPECT_EQ(cr.triangles, 0u);
-  const auto snap = dyn.snapshot();
-  EXPECT_FALSE(snap->has_edge(0, 1));
-  EXPECT_EQ(snap->support(1, 2), 0u);
-  EXPECT_EQ(snap->support(0, 2), 0u);
+  EXPECT_FALSE(dyn.snapshot()->has_edge(0, 1));
 }
 
 TEST(DynamicGraphCommit, InsertDeleteReinsertWithinOneBatchIsExact) {
@@ -108,7 +98,6 @@ TEST(DynamicGraphCommit, InsertDeleteReinsertWithinOneBatchIsExact) {
   EXPECT_EQ(cr.skipped, 0u);
   EXPECT_EQ(cr.delta_triangles, 1);
   EXPECT_EQ(cr.triangles, 1u);
-  EXPECT_EQ(dyn.snapshot()->support(0, 2), 1u);
 }
 
 TEST(DynamicGraphCommit, NoOpBatchDoesNotMoveTheVersion) {
@@ -150,6 +139,30 @@ TEST(DynamicGraphSnapshots, CopyOnWriteSharesUntouchedSegments) {
   EXPECT_GT(shared, 0u);
 }
 
+TEST(DynamicGraphSnapshots, CommitRebuildsOnlyEndpointSegments) {
+  // Wedge a-w-b with w, a, b in segments 0, 1, 2 of a four-segment graph.
+  // Closing it with (a, b) changes only a's and b's rows, so only their
+  // segments are rebuilt; w's segment 0 is shared although the commit
+  // created a triangle through w.
+  constexpr graph::VertexId kW = 3, kA = 300, kB = 600;
+  DynamicGraph dyn(graph::build_directed_csr(1'000, {{kW, kA}, {kW, kB}}));
+  const auto before = dyn.snapshot();
+  ASSERT_EQ(before->num_segments(), 4u);
+
+  const std::vector<EdgeOp> ops = {{kA, kB, true}};
+  const auto cr = dyn.commit(ops);
+  ASSERT_TRUE(cr.changed);
+  EXPECT_EQ(cr.delta_triangles, 1);
+  const auto after = dyn.snapshot();
+  ASSERT_EQ(after->num_segments(), before->num_segments());
+  for (std::size_t i = 0; i < after->num_segments(); ++i) {
+    const bool endpoint = i == kA >> Snapshot::kSegmentShift ||
+                          i == kB >> Snapshot::kSegmentShift;
+    EXPECT_EQ(after->segment(i).get() != before->segment(i).get(), endpoint)
+        << "segment " << i;
+  }
+}
+
 TEST(DynamicGraphSnapshots, OldVersionsStayConsistent) {
   DynamicGraph dyn(path_dag());
   const auto v0 = dyn.snapshot();
@@ -189,48 +202,6 @@ TEST(DynamicGraphGrowth, InsertBeyondVertexCountGrowsTheGraph) {
   // The grown vertex participates in later triangles like any other.
   const std::vector<EdgeOp> close = {{1, 5, true}};
   EXPECT_EQ(dyn.commit(close).delta_triangles, 1);  // {1, 2, 5}
-}
-
-TEST(DynamicGraphRecount, RecountCommitIsBitIdenticalToDelta) {
-  // Same seed, same churn sequence; one instance commits via the delta
-  // kernel, the other recounts from scratch every batch. The contract: both
-  // publish bit-identical snapshots (count, stats, DAG, per-edge support) —
-  // what lets the serving layer flip modes per batch on pure cost grounds.
-  const auto pg = rmat_graph();
-  DynamicGraph delta(pg.dag);
-  DynamicGraph recount(pg.dag);
-  ChurnGenerator churn_a(123), churn_b(123);
-  for (int round = 0; round < 3; ++round) {
-    const auto batch = churn_a.next_batch(*delta.snapshot(), 64);
-    const auto same = churn_b.next_batch(*recount.snapshot(), 64);
-    const auto dr = delta.commit(batch, CommitMode::kDelta);
-    const auto rr = recount.commit(same, CommitMode::kRecount);
-    EXPECT_FALSE(dr.recounted);
-    EXPECT_TRUE(rr.recounted);
-    EXPECT_EQ(dr.version, rr.version);
-    EXPECT_EQ(dr.triangles, rr.triangles);
-    EXPECT_EQ(dr.delta_triangles, rr.delta_triangles);
-    EXPECT_EQ(dr.inserted, rr.inserted);
-    EXPECT_EQ(dr.removed, rr.removed);
-  }
-  const auto a = delta.snapshot();
-  const auto b = recount.snapshot();
-  expect_stats_eq(a->stats(), b->stats());
-  const auto dag_a = a->materialize_dag();
-  const auto dag_b = b->materialize_dag();
-  ASSERT_EQ(dag_a.row_ptr(), dag_b.row_ptr());
-  ASSERT_EQ(dag_a.col(), dag_b.col());
-  EXPECT_EQ(a->materialize_support(), b->materialize_support());
-}
-
-TEST(DynamicGraphRecount, RecountNoOpBatchKeepsTheVersion) {
-  DynamicGraph dyn(path_dag());
-  const std::vector<EdgeOp> noop = {{0, 1, true},  // duplicate insert
-                                    {0, 2, false}};  // absent delete
-  const auto before = dyn.version();
-  const auto res = dyn.commit(noop, CommitMode::kRecount);
-  EXPECT_FALSE(res.changed);
-  EXPECT_EQ(dyn.version(), before);
 }
 
 TEST(DynamicGraphStats, MatchFreshComputeAfterChurn) {

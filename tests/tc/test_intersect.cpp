@@ -381,26 +381,33 @@ TEST(IntersectMetering, PolicyStatsAreDeterministic) {
 }
 
 TEST(MergeCollect, MatchesSetIntersectionOnEveryShape) {
-  // merge_collect_probed is the stream delta kernel's workhorse: besides
-  // counting, it must surface every common value (and its positions in both
-  // operands) exactly once, in ascending order.
-  for (const auto& s : shapes()) {
-    std::vector<std::uint32_t> expected;
-    std::set_intersection(s.a.begin(), s.a.end(), s.b.begin(), s.b.end(),
-                          std::back_inserter(expected));
-    std::vector<std::uint32_t> values;
-    const auto count = merge_collect_probed(
-        static_cast<std::uint32_t>(s.a.size()),
-        static_cast<std::uint32_t>(s.b.size()),
-        [&](std::uint32_t i) { return s.a[i]; },
-        [&](std::uint32_t j) { return s.b[j]; },
-        [&](std::uint32_t value, std::uint32_t i, std::uint32_t j) {
-          EXPECT_EQ(s.a[i], value) << s.name;
-          EXPECT_EQ(s.b[j], value) << s.name;
-          values.push_back(value);
-        });
-    EXPECT_EQ(count, expected.size()) << s.name;
-    EXPECT_EQ(values, expected) << s.name;
+  // The stream layer's wedge-delta kernel stages each job's two lists back
+  // to back in one flat buffer and counts the pair with MergeSequential
+  // over offset ListRefs. Here every shape is one such job, one lane each.
+  const auto all = shapes();
+  std::vector<std::uint32_t> flat;
+  std::vector<std::uint32_t> bounds;  // per job: a_lo, a_hi == b_lo, b_hi
+  for (const auto& s : all) {
+    bounds.push_back(static_cast<std::uint32_t>(flat.size()));
+    flat.insert(flat.end(), s.a.begin(), s.a.end());
+    bounds.push_back(static_cast<std::uint32_t>(flat.size()));
+    flat.insert(flat.end(), s.b.begin(), s.b.end());
+    bounds.push_back(static_cast<std::uint32_t>(flat.size()));
+  }
+  simt::Device dev;
+  auto d_flat = dev.alloc<std::uint32_t>(flat.size());
+  std::copy(flat.begin(), flat.end(), d_flat.host_data());
+  auto d_counts = dev.alloc<std::uint32_t>(all.size());
+
+  simt::launch_threads(
+      test_spec(), 1, 32, all.size(), [&](simt::ThreadCtx& ctx, std::uint64_t j) {
+        const std::uint32_t* r = &bounds[3 * j];
+        const auto n = MergeSequential::count(ctx, {&d_flat, r[0], r[1]},
+                                              {&d_flat, r[1], r[2]});
+        ctx.store(d_counts, j, static_cast<std::uint32_t>(n), TCGPU_SITE());
+      });
+  for (std::size_t j = 0; j < all.size(); ++j) {
+    EXPECT_EQ(d_counts.host_span()[j], ref_count(all[j])) << all[j].name;
   }
 }
 
