@@ -1,25 +1,29 @@
 // Simulator hot-path microbenchmark: events/sec and ns/access through the
-// full ThreadCtx -> LaneTrace -> WarpAggregator pipeline, on three synthetic
+// full ThreadCtx -> WarpAggregator record/flush pipeline, on three synthetic
 // kernels chosen to pin the pipeline's three regimes:
 //
 //   * converged    — every lane issues the identical site sequence (the
-//                    common case; exercises the flush fast path);
-//   * divergent    — per-lane trip counts differ (forces the counting-sort
-//                    path and occurrence alignment);
+//                    common case: every aligned group is a full warp);
+//   * divergent    — per-lane trip counts differ (groups thin out as lanes
+//                    run out of occurrences at a site);
 //   * atomic_heavy — global + shared atomics (serialization costs).
 //
 // Emits JSON so the perf trajectory is tracked across PRs; --check compares
-// events/sec against a checked-in baseline and fails on >25% regression
-// (the CI sim-throughput gate).
+// against a checked-in baseline and fails when a regime's events/sec drops
+// more than 25% below it (the CI sim-throughput gate) or its event count
+// differs from it. Simulated counts are deterministic, so a different count
+// means the aggregation changed, not the machine.
 //
 // Flags: --quick            smaller grids, CI-friendly runtimes
 //        --out=PATH         write the JSON report to PATH
-//        --check=PATH       compare against a baseline JSON, exit 1 on regression
+//        --check=PATH       compare against a baseline JSON, exit 1 on a
+//                           regression or an event-count mismatch
 //        --repeats=N        timing repeats per workload (default 3, best-of)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -137,22 +141,32 @@ std::string to_json(const std::vector<WorkloadResult>& results) {
   return os.str();
 }
 
-/// Pulls "name" -> events_per_sec pairs out of a sim_overhead JSON report.
+struct BaselineEntry {
+  std::string name;
+  std::uint64_t events = 0;
+  double events_per_sec = 0.0;
+};
+
+/// Pulls (name, events, events_per_sec) out of a sim_overhead JSON report.
 /// Deliberately tiny: the format is produced by to_json above.
-bool parse_baseline(const std::string& path,
-                    std::vector<std::pair<std::string, double>>& out) {
+bool parse_baseline(const std::string& path, std::vector<BaselineEntry>& out) {
   std::ifstream in(path);
   if (!in) return false;
   std::string line;
   while (std::getline(in, line)) {
     const auto name_at = line.find("\"name\": \"");
+    const auto events_at = line.find("\"events\": ");
     const auto eps_at = line.find("\"events_per_sec\": ");
-    if (name_at == std::string::npos || eps_at == std::string::npos) continue;
+    if (name_at == std::string::npos || events_at == std::string::npos ||
+        eps_at == std::string::npos) {
+      continue;
+    }
     const auto name_begin = name_at + 9;
     const auto name_end = line.find('"', name_begin);
     if (name_end == std::string::npos) continue;
-    const double eps = std::atof(line.c_str() + eps_at + 18);
-    out.emplace_back(line.substr(name_begin, name_end - name_begin), eps);
+    out.push_back({line.substr(name_begin, name_end - name_begin),
+                   std::strtoull(line.c_str() + events_at + 10, nullptr, 10),
+                   std::atof(line.c_str() + eps_at + 18)});
   }
   return !out.empty();
 }
@@ -226,27 +240,33 @@ int main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::vector<std::pair<std::string, double>> baseline;
+    std::vector<BaselineEntry> baseline;
     if (!parse_baseline(check_path, baseline)) {
       std::cerr << "failed to parse baseline " << check_path << '\n';
       return 2;
     }
     constexpr double kAllowedRegression = 0.25;
     bool ok = true;
-    for (const auto& [name, base_eps] : baseline) {
+    for (const auto& base : baseline) {
       const auto it = std::find_if(results.begin(), results.end(),
-                                   [&](const auto& r) { return r.name == name; });
+                                   [&](const auto& r) { return r.name == base.name; });
       if (it == results.end()) {
-        std::cerr << "baseline workload missing from run: " << name << '\n';
+        std::cerr << "baseline workload missing from run: " << base.name << '\n';
         ok = false;
         continue;
       }
-      const double floor = base_eps * (1.0 - kAllowedRegression);
-      const bool pass = it->events_per_sec() >= floor;
-      std::fprintf(stderr, "check %-14s %16.0f ev/s vs baseline %16.0f (floor %16.0f) %s\n",
-                   name.c_str(), it->events_per_sec(), base_eps, floor,
-                   pass ? "ok" : "REGRESSED");
-      ok = ok && pass;
+      const double floor = base.events_per_sec * (1.0 - kAllowedRegression);
+      const bool fast_enough = it->events_per_sec() >= floor;
+      const bool same_events = it->events == base.events;
+      std::fprintf(stderr,
+                   "check %-14s %16.0f ev/s vs baseline %16.0f (floor %16.0f) %s; "
+                   "events %llu vs %llu %s\n",
+                   base.name.c_str(), it->events_per_sec(), base.events_per_sec, floor,
+                   fast_enough ? "ok" : "REGRESSED",
+                   static_cast<unsigned long long>(it->events),
+                   static_cast<unsigned long long>(base.events),
+                   same_events ? "ok" : "MISMATCH");
+      ok = ok && fast_enough && same_events;
     }
     if (!ok) return 1;
   }

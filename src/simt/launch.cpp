@@ -34,6 +34,13 @@ void validate_config(const GpuSpec& spec, const LaunchConfig& cfg) {
       spec.l1_cache_sectors == 0) {
     fail("launch: l1_cache_sectors must be a power of two");
   }
+  // The launcher runs 32 lanes per warp into a 32-lane WarpAggregator.
+  if (spec.warp_size != WarpAggregator::kLanes) fail("launch: warp_size must be 32");
+  // conflict_degree tallies per bank in a 64-entry array.
+  if (spec.shared_banks == 0 || spec.shared_banks > 64) {
+    fail("launch: shared_banks must be in [1, 64]");
+  }
+  if (spec.sector_bytes == 0) fail("launch: sector_bytes must be >= 1");
 }
 
 KernelStats finalize(const GpuSpec& spec, const std::vector<double>& block_cycles,

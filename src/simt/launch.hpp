@@ -26,9 +26,12 @@
 //
 // Metering
 // --------
-// All global/shared accesses go through ThreadCtx and are recorded as lane
-// events; the WarpAggregator aligns them into warp instructions and derives
-// the nvprof-style metrics plus a modeled cycle cost. Kernel time is
+// All global/shared accesses go through ThreadCtx, which records each one
+// straight into the warp's WarpAggregator, bucketed by (call site, lane).
+// The launcher runs a flush unit's lanes 0..31 one after another — the
+// lane-major order the aggregator requires — then flushes: the aggregator
+// aligns the buckets into warp instructions and derives the nvprof-style
+// metrics plus a modeled cycle cost. Kernel time is
 //     max(per-SM issue/memory cycles under round-robin block placement,
 //         device-wide bandwidth bound)  /  clock.
 #pragma once
@@ -82,12 +85,12 @@ class ThreadCtx {
   using SrcLoc = std::source_location;
 
   ThreadCtx(const GpuSpec& spec, const LaunchConfig& cfg, std::uint32_t block_id,
-            std::uint32_t thread_in_block, LaneTrace& trace, SharedArena& arena)
+            std::uint32_t thread_in_block, WarpAggregator& agg, SharedArena& arena)
       : spec_(&spec),
         cfg_(&cfg),
         block_id_(block_id),
         tid_(thread_in_block),
-        trace_(&trace),
+        agg_(&agg),
         arena_(&arena) {}
 
   // --- identity -----------------------------------------------------------
@@ -208,12 +211,12 @@ class ThreadCtx {
 
   // --- compute ------------------------------------------------------------
   /// Charges n pure-ALU warp-lane steps (hash mixing, reductions, ...).
-  void compute(std::uint64_t n = 1) { trace_->compute_steps += n; }
+  void compute(std::uint64_t n = 1) { agg_->compute(lane(), n); }
 
  private:
   void record(std::uint64_t addr, AccessKind kind, std::uint8_t size,
               Site site) {
-    trace_->push(addr, site.id(), kind, size);
+    agg_->record(lane(), addr, site.id(), kind, size);
   }
 
   template <class T>
@@ -233,7 +236,7 @@ class ThreadCtx {
   const LaunchConfig* cfg_;
   std::uint32_t block_id_;
   std::uint32_t tid_;
-  LaneTrace* trace_;
+  WarpAggregator* agg_;
   SharedArena* arena_;
 };
 
@@ -285,7 +288,7 @@ KernelStats launch_items(const GpuSpec& spec, LaunchConfig cfg, std::uint64_t nu
               for (std::uint32_t w = 0; w < warps_per_block; ++w) {
                 for (std::uint32_t l = 0; l < 32; ++l) {
                   const std::uint32_t tid = w * 32 + l;
-                  ThreadCtx ctx(spec, cfg, b, tid, agg.lane(l), arena);
+                  ThreadCtx ctx(spec, cfg, b, tid, agg, arena);
                   phase(ctx, st[tid], item);
                 }
                 cyc += agg.flush(local);
@@ -319,7 +322,7 @@ KernelStats launch_items(const GpuSpec& spec, LaunchConfig cfg, std::uint64_t nu
                 for (std::uint32_t l = 0; l < active_lanes; ++l) {
                   const std::uint64_t item = base_item + l / cfg.group_size;
                   const std::uint32_t tid = w * 32 + l;
-                  ThreadCtx ctx(spec, cfg, b, tid, agg.lane(l), arena);
+                  ThreadCtx ctx(spec, cfg, b, tid, agg, arena);
                   phase(ctx, st[tid], item);
                 }
                 cyc += agg.flush(local);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
+#include <stdexcept>
 
 namespace tcgpu::simt {
 namespace {
@@ -127,7 +127,7 @@ std::uint32_t WarpAggregator::conflict_degree(const std::uint64_t* addrs,
                                               std::uint32_t n) {
   const std::uint32_t banks = spec_->shared_banks;
   const std::uint32_t m = std::min<std::uint32_t>(n, 64);
-  std::array<std::uint8_t, 64> per_bank{};  // banks <= 64 for every GpuSpec preset
+  std::array<std::uint8_t, 64> per_bank{};  // validate_config keeps banks <= 64
   const bool pow2 = std::has_single_bit(banks);
   const std::uint64_t mask = banks - 1;  // valid only when pow2
   std::uint32_t worst = 1;
@@ -150,21 +150,29 @@ std::uint32_t WarpAggregator::conflict_degree(const std::uint64_t* addrs,
 }
 
 WarpAggregator::WarpAggregator(const GpuSpec& spec)
-    : spec_(&spec), lanes_(spec.warp_size), cache_(spec.l1_cache_sectors) {
+    : spec_(&spec), cache_(spec.l1_cache_sectors) {
   reset_cache();
-  // Reserve all scratch once, so steady-state flushes never allocate
-  // (the launcher constructs one aggregator per host thread per launch).
-  site_local_.reserve(64);
-  local_ids_.reserve(1024);
-  order_.reserve(1024);
-  slot_count_.reserve(64 * spec.warp_size + 1);
-  slot_cursor_.reserve(64 * spec.warp_size + 1);
-  sorted_addr_.reserve(1024);
-  sorted_meta_.reserve(1024);
-  for (auto& t : lanes_) {
-    t.addr.reserve(64);
-    t.meta.reserve(64);
+}
+
+std::uint32_t WarpAggregator::intern(std::uint32_t site) {
+  if (site >= site_map_.size()) site_map_.resize(static_cast<std::size_t>(site) + 1, 0);
+  const std::uint32_t local = unit_sites_++;
+  site_map_[site] = (static_cast<std::uint64_t>(unit_gen_) << 32) | local;
+  if (local == sites_.size()) sites_.emplace_back();
+  SiteEvents& s = sites_[local];
+  s.events.clear();
+  s.open_lane = kLanes;  // no slice yet: the first record opens one
+  s.slices = 0;
+  return local;
+}
+
+void WarpAggregator::open_slice(SiteEvents& s, std::uint32_t lane) {
+  if (s.slices != 0 && lane < s.open_lane) {
+    throw std::logic_error("WarpAggregator: lanes must record in turn (lane-major)");
   }
+  s.slice_begin[s.slices] = static_cast<std::uint32_t>(s.events.size());
+  ++s.slices;
+  s.open_lane = lane;
 }
 
 std::uint32_t WarpAggregator::cache_access(const std::uint64_t* sectors,
@@ -185,39 +193,23 @@ std::uint32_t WarpAggregator::cache_access(const std::uint64_t* sectors,
 }
 
 // The flush groups each lane's k-th access at a call site with every other
-// lane's k-th access there ("occurrence alignment" — see the header).
-//
-// Two paths produce bit-identical results:
-//   * fast path — when every lane issued the same (site, kind, size)
-//     sequence (the fully-converged common case, detected with one memcmp
-//     per lane), alignment degenerates to position alignment: group k is
-//     simply position k of every lane. Only lane 0's sequence is examined
-//     to derive the group order; no counting sort, no per-event scatter.
-//   * sorted path — one counting sort keyed by (site, lane), which
-//     preserves each lane's program order, so within a (site, lane) slice
-//     the events are already in occurrence order.
-// Both walk the groups in the same order — sites by first appearance,
-// occurrences ascending — so the stateful sector cache and the floating-
-// point cycle accumulator see the same sequence either way.
+// lane's k-th access there ("occurrence alignment" — see the header). A
+// site's lane slices already hold each lane's accesses there in program
+// order, so group k of a site is element k of every slice that is that long.
+// Groups are visited sites first (by first appearance), occurrences
+// ascending, lanes ascending: the stateful sector cache and the floating-
+// point cycle accumulator see one fixed sequence.
 double WarpAggregator::flush(KernelMetrics& m) {
   const GpuSpec& spec = *spec_;
-  const std::uint32_t W = warp_size();
 
   std::uint64_t max_compute = 0;
   std::uint64_t sum_compute = 0;
-  std::size_t total_events = 0;
-  bool any = false;
-  bool uniform = true;
-  const std::size_t n0 = lanes_[0].size();
-  for (std::uint32_t l = 0; l < W; ++l) {
-    const LaneTrace& t = lanes_[l];
-    if (!t.empty()) any = true;
-    max_compute = std::max(max_compute, t.compute_steps);
-    sum_compute += t.compute_steps;
-    total_events += t.size();
-    uniform = uniform && t.size() == n0;
+  for (const std::uint64_t c : compute_) {
+    max_compute = std::max(max_compute, c);
+    sum_compute += c;
   }
-  if (!any) return 0.0;
+  if (unit_sites_ == 0 && sum_compute == 0) return 0.0;
+  compute_.fill(0);
 
   std::uint64_t steps = max_compute;
   std::uint64_t active = sum_compute;
@@ -226,8 +218,7 @@ double WarpAggregator::flush(KernelMetrics& m) {
   std::array<std::uint64_t, 64> addrs;
   std::array<std::uint64_t, 64> sectors;
   // Charges one aligned group of n accesses (addrs[0..n) filled in lane
-  // order). Shared by both paths so the cost arithmetic is literally the
-  // same code, keeping the modeled cycles bitwise equal.
+  // order).
   auto charge = [&](std::uint32_t n, AccessKind kind, std::uint8_t size) {
     steps += 1;
     active += n;
@@ -285,143 +276,46 @@ double WarpAggregator::flush(KernelMetrics& m) {
     }
   };
 
-  // Dense local ids for the sites of this unit, in first-appearance order.
-  // O(1) per lookup: site_map_[site] holds (flush generation | local id), so
-  // starting a fresh unit is a generation bump, not a map clear.
-  auto begin_intern = [this] {
-    site_local_.clear();
-    if (++map_gen_ == 0) {  // stamp wrap: invalidate the slow way, once
-      std::fill(site_map_.begin(), site_map_.end(), 0);
-      map_gen_ = 1;
+  for (std::uint32_t local = 0; local < unit_sites_; ++local) {
+    const SiteEvents& se = sites_[local];
+    // Slices of the lanes still holding a k-th occurrence, ascending by
+    // lane. The set only shrinks as k grows, so each group costs
+    // O(participants), not O(kLanes) — the skewed trip counts of triangle
+    // kernels leave long tails where one or two lanes are still looping.
+    std::array<const Event*, kLanes> ev;
+    std::array<std::size_t, kLanes> len;
+    std::uint32_t na = se.slices;
+    for (std::uint32_t i = 0; i < na; ++i) {
+      const std::size_t end = i + 1 < na ? se.slice_begin[i + 1] : se.events.size();
+      ev[i] = se.events.data() + se.slice_begin[i];
+      len[i] = end - se.slice_begin[i];
     }
-  };
-  auto local_of = [this](std::uint32_t site) -> std::uint32_t {
-    if (site >= site_map_.size()) site_map_.resize(site + 1, 0);
-    std::uint64_t& slot = site_map_[site];
-    if (static_cast<std::uint32_t>(slot >> 32) == map_gen_) {
-      return static_cast<std::uint32_t>(slot);
-    }
-    const auto local = static_cast<std::uint32_t>(site_local_.size());
-    site_local_.push_back(site);
-    slot = (static_cast<std::uint64_t>(map_gen_) << 32) | local;
-    return local;
-  };
-
-  bool converged = uniform && n0 > 0 && W <= addrs.size();
-  if (converged) {
-    const std::uint64_t* meta0 = lanes_[0].meta.data();
-    for (std::uint32_t l = 1; l < W && converged; ++l) {
-      converged = std::memcmp(lanes_[l].meta.data(), meta0,
-                              n0 * sizeof(std::uint64_t)) == 0;
+    for (std::size_t k = 0; na != 0;) {
+      // Occurrences [k, depth) are held by every active lane.
+      std::size_t depth = len[0];
+      for (std::uint32_t i = 1; i < na; ++i) depth = std::min(depth, len[i]);
+      for (; k < depth; ++k) {
+        for (std::uint32_t i = 0; i < na; ++i) addrs[i] = ev[i][k].addr;
+        const Event& last = ev[na - 1][k];
+        charge(na, last.kind, last.size);
+      }
+      std::uint32_t keep = 0;
+      for (std::uint32_t i = 0; i < na; ++i) {
+        if (len[i] > depth) {
+          ev[keep] = ev[i];
+          len[keep] = len[i];
+          ++keep;
+        }
+      }
+      na = keep;
     }
   }
 
-  if (converged) {
-    // --- fast path: position alignment, group order from lane 0 only ------
-    const std::uint64_t* meta0 = lanes_[0].meta.data();
-    begin_intern();
-    local_ids_.resize(n0);
-    for (std::size_t p = 0; p < n0; ++p) {
-      local_ids_[p] = local_of(LaneTrace::site_of(meta0[p]));
-    }
-    const std::uint32_t S = static_cast<std::uint32_t>(site_local_.size());
-    slot_count_.assign(S + 1, 0);
-    for (std::size_t p = 0; p < n0; ++p) slot_count_[local_ids_[p] + 1]++;
-    for (std::size_t i = 1; i < slot_count_.size(); ++i) {
-      slot_count_[i] += slot_count_[i - 1];
-    }
-    order_.resize(n0);
-    slot_cursor_.assign(slot_count_.begin(), slot_count_.end() - 1);
-    for (std::size_t p = 0; p < n0; ++p) {
-      order_[slot_cursor_[local_ids_[p]]++] = static_cast<std::uint32_t>(p);
-    }
-    // Hoisted lane address columns: the gather below is the single hottest
-    // loop in the simulator, and indexing lanes_[l].addr re-reads the vector
-    // header every step.
-    std::array<const std::uint64_t*, 64> lane_addr;
-    for (std::uint32_t l = 0; l < W; ++l) lane_addr[l] = lanes_[l].addr.data();
-    for (std::size_t i = 0; i < n0; ++i) {
-      const std::uint32_t p = order_[i];
-      for (std::uint32_t l = 0; l < W; ++l) addrs[l] = lane_addr[l][p];
-      charge(W, LaneTrace::kind_of(meta0[p]), LaneTrace::size_of(meta0[p]));
-    }
-  } else if (total_events != 0) {
-    // --- sorted path: counting sort by (local site, lane) -----------------
-    begin_intern();
-    local_ids_.clear();
-    for (std::uint32_t l = 0; l < W; ++l) {
-      for (const std::uint64_t mt : lanes_[l].meta) {
-        local_ids_.push_back(local_of(LaneTrace::site_of(mt)));
-      }
-    }
-    const std::uint32_t S = static_cast<std::uint32_t>(site_local_.size());
-    slot_count_.assign(static_cast<std::size_t>(S) * W + 1, 0);
-    {
-      std::size_t idx = 0;
-      for (std::uint32_t l = 0; l < W; ++l) {
-        const std::size_t cnt = lanes_[l].size();
-        for (std::size_t j = 0; j < cnt; ++j) {
-          slot_count_[static_cast<std::size_t>(local_ids_[idx]) * W + l + 1]++;
-          ++idx;
-        }
-      }
-    }
-    for (std::size_t i = 1; i < slot_count_.size(); ++i) {
-      slot_count_[i] += slot_count_[i - 1];
-    }
-    sorted_addr_.resize(total_events);
-    sorted_meta_.resize(total_events);
-    slot_cursor_.assign(slot_count_.begin(), slot_count_.end() - 1);
-    {
-      std::size_t idx = 0;
-      for (std::uint32_t l = 0; l < W; ++l) {
-        const LaneTrace& t = lanes_[l];
-        const std::size_t cnt = t.size();
-        for (std::size_t j = 0; j < cnt; ++j) {
-          const std::size_t slot = static_cast<std::size_t>(local_ids_[idx]) * W + l;
-          const std::size_t at = slot_cursor_[slot]++;
-          sorted_addr_[at] = t.addr[j];
-          sorted_meta_[at] = t.meta[j];
-          ++idx;
-        }
-      }
-    }
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const std::size_t base = static_cast<std::size_t>(s) * W;
-      // Lanes still holding a k-th occurrence, ascending. The set only
-      // shrinks as k grows, so each group costs O(participants), not O(W) —
-      // the skewed trip counts of triangle kernels leave long tails where
-      // one or two lanes are still looping.
-      std::array<std::uint32_t, 64> act;
-      std::uint32_t na = 0;
-      for (std::uint32_t l = 0; l < W; ++l) {
-        if (slot_count_[base + l] < slot_count_[base + l + 1]) act[na++] = l;
-      }
-      for (std::uint32_t k = 0; na != 0; ++k) {
-        std::uint32_t n = 0;
-        std::uint32_t keep = 0;
-        AccessKind kind{};
-        std::uint8_t size = 4;
-        for (std::uint32_t i = 0; i < na; ++i) {
-          const std::uint32_t l = act[i];
-          const std::size_t lo = slot_count_[base + l];
-          const std::size_t hi = slot_count_[base + l + 1];
-          if (lo + k < hi && n < addrs.size()) {
-            const std::size_t at = lo + k;
-            addrs[n] = sorted_addr_[at];
-            kind = LaneTrace::kind_of(sorted_meta_[at]);
-            size = LaneTrace::size_of(sorted_meta_[at]);
-            ++n;
-          }
-          if (lo + k + 1 < hi) act[keep++] = l;
-        }
-        na = keep;
-        charge(n, kind, size);
-      }
-    }
+  unit_sites_ = 0;
+  if (++unit_gen_ == 0) {  // stamp wrap: invalidate the slow way, once
+    std::fill(site_map_.begin(), site_map_.end(), 0);
+    unit_gen_ = 1;
   }
-
-  for (std::uint32_t l = 0; l < W; ++l) lanes_[l].clear();
   m.warp_steps += steps;
   m.active_lane_steps += active;
   return cycles;

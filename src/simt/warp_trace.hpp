@@ -1,14 +1,25 @@
-// Warp-level aggregation of lane traces into architectural events.
+// Warp-level aggregation of lane events into architectural events.
 //
-// Lanes of a warp are executed sequentially by the host, each producing a
-// LaneTrace. Real SIMT hardware executes them in lockstep, so the
-// aggregator reconstructs warp-level instructions by aligning events across
-// lanes on (call site, occurrence index): the k-th access a lane issues at a
-// given program point lines up with the k-th access every other lane issues
-// there. For the loop-trip-count divergence that dominates triangle-counting
-// kernels this alignment is exact; lanes that ran out of work simply have no
-// k-th occurrence and count as inactive — which is precisely what
+// Lanes of a warp are executed sequentially by the host. Real SIMT hardware
+// executes them in lockstep, so the aggregator reconstructs warp-level
+// instructions by aligning events across lanes on (call site, occurrence
+// index): the k-th access a lane issues at a given program point lines up
+// with the k-th access every other lane issues there. For the
+// loop-trip-count divergence that dominates triangle-counting kernels this
+// alignment is exact; lanes that ran out of work simply have no k-th
+// occurrence and count as inactive — which is precisely what
 // warp_execution_efficiency measures.
+//
+// Events are bucketed by (call site, lane) as they are recorded. The
+// launcher runs a flush unit's lanes 0..31 one after another, so each call
+// site's events arrive lane-major: every event lane 0 issued there, then lane
+// 1's, and so on. A site therefore keeps one event array cut into per-lane
+// slices, each in program order — the (site, lane) buckets, already sorted.
+// Sites get dense local ids at record time, in first-appearance order.
+// Recording lane-major is a precondition of record(); it also makes that
+// order lane-major. flush() walks the groups sites first in that order,
+// occurrences ascending, lanes ascending within a group. One path serves
+// converged and divergent warps alike.
 //
 // Per aligned group the aggregator derives:
 //   * global kinds — one request, plus one transaction per distinct
@@ -17,10 +28,7 @@
 //     hit the same 4-byte-interleaved bank at different word addresses
 //     serialize (same-word access broadcasts);
 //   * cycle cost via the GpuSpec weights.
-//
-// flush() has two implementations with bit-identical output (see the .cpp
-// for the hot-path details): a counting sort over all lanes for divergent
-// warps, and a lane-0-only fast path for fully converged warps.
+// A group's kind and access size are those of its last (highest) lane.
 #pragma once
 
 #include <array>
@@ -35,10 +43,25 @@ namespace tcgpu::simt {
 
 class WarpAggregator {
  public:
+  /// Lanes per warp; validate_config rejects any other GpuSpec::warp_size.
+  static constexpr std::uint32_t kLanes = 32;
+
   explicit WarpAggregator(const GpuSpec& spec);
 
-  LaneTrace& lane(std::uint32_t l) { return lanes_[l]; }
-  std::uint32_t warp_size() const { return static_cast<std::uint32_t>(lanes_.size()); }
+  /// Files one access of `lane` (< kLanes) under its (call site, lane)
+  /// bucket. `site` is a dense id from site_id(). Precondition: within a
+  /// flush unit, lanes record in turn — all of lane 0's events, then lane
+  /// 1's, ... (see the file comment); a lane returning to a site after a
+  /// higher lane used it throws std::logic_error.
+  void record(std::uint32_t lane, std::uint64_t addr, std::uint32_t site,
+              AccessKind kind, std::uint8_t size) {
+    SiteEvents& s = sites_[local_site(site)];
+    if (s.open_lane != lane) open_slice(s, lane);
+    s.events.push_back(Event{addr, kind, size});
+  }
+
+  /// Charges `n` pure-ALU steps to `lane`.
+  void compute(std::uint32_t lane, std::uint64_t n) { compute_[lane] += n; }
 
   /// Clears the SM sector cache. The launcher calls this when the simulated
   /// block it is executing moves to a fresh SM context, keeping cache state
@@ -52,9 +75,9 @@ class WarpAggregator {
     }
   }
 
-  /// Aggregates all lane traces into `m`, returns the modeled cycle cost of
-  /// this unit, and clears the lanes for reuse. A unit with no events and no
-  /// compute work costs nothing and adds no steps.
+  /// Aggregates the recorded unit into `m`, returns its modeled cycle cost,
+  /// and empties the buckets for reuse. A unit with no events and no compute
+  /// work costs nothing and adds no steps.
   double flush(KernelMetrics& m);
 
  private:
@@ -72,6 +95,36 @@ class WarpAggregator {
     std::uint32_t cur = 0;
   };
 
+  /// One call site's events in the current unit, cut into per-lane slices
+  /// that ascend by lane: slice i is events[slice_begin[i], slice_begin[i+1])
+  /// (the last ends at events.size()) and holds one lane's accesses at this
+  /// site in program order. Lanes that never reached the site have no slice.
+  struct SiteEvents {
+    std::vector<Event> events;
+    std::uint32_t open_lane = 0;  ///< lane of the last slice
+    std::uint32_t slices = 0;
+    std::array<std::uint32_t, kLanes> slice_begin{};
+  };
+
+  /// Dense local id of `site` in this unit, handed out in first-appearance
+  /// order. O(1): site_map_[site] holds (unit generation << 32 | local id),
+  /// so a fresh unit is one generation bump, not a map clear.
+  std::uint32_t local_site(std::uint32_t site) {
+    if (site < site_map_.size()) {
+      const std::uint64_t slot = site_map_[site];
+      if (static_cast<std::uint32_t>(slot >> 32) == unit_gen_) {
+        return static_cast<std::uint32_t>(slot);
+      }
+    }
+    return intern(site);
+  }
+
+  /// First event at `site` in this unit: next local id, emptied record.
+  std::uint32_t intern(std::uint32_t site);
+
+  /// Starts `lane`'s slice at `s`; throws if the recording is not lane-major.
+  void open_slice(SiteEvents& s, std::uint32_t lane);
+
   /// Looks up `n` sector ids in the direct-mapped cache, installing misses.
   /// Returns the number of misses (DRAM transactions).
   std::uint32_t cache_access(const std::uint64_t* sectors, std::uint32_t n);
@@ -86,21 +139,15 @@ class WarpAggregator {
   std::uint32_t conflict_degree(const std::uint64_t* addrs, std::uint32_t n);
 
   const GpuSpec* spec_;
-  std::vector<LaneTrace> lanes_;
+  std::vector<std::uint64_t> site_map_;
+  /// Indexed by local site id; [0, unit_sites_) are this unit's. Capacity
+  /// survives units, so the steady state never allocates.
+  std::vector<SiteEvents> sites_;
+  std::uint32_t unit_sites_ = 0;
+  std::uint32_t unit_gen_ = 1;
+  std::array<std::uint64_t, kLanes> compute_{};
   std::vector<CacheEntry> cache_;
   std::uint32_t cache_gen_ = 0;
-  // Reused scratch (see flush() for the layouts).
-  std::vector<std::uint32_t> site_local_;
-  // site id -> (flush generation, dense local id): O(1) interning without a
-  // per-flush clear. A slot is live only while its stamp matches map_gen_.
-  std::vector<std::uint64_t> site_map_;
-  std::uint32_t map_gen_ = 0;
-  std::vector<std::uint32_t> local_ids_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::size_t> slot_count_;
-  std::vector<std::size_t> slot_cursor_;
-  std::vector<std::uint64_t> sorted_addr_;
-  std::vector<std::uint64_t> sorted_meta_;
   StampSet sector_set_;  ///< scattered-group sector dedup
   StampSet word_set_;    ///< scattered-group shared-word dedup
 };

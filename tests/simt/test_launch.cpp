@@ -185,6 +185,23 @@ TEST(Launch, BadConfigsRejected) {
                std::invalid_argument);
   EXPECT_THROW(launch_items<NoState>(test_spec(), LaunchConfig{1, 2048, 2048}, 1, noop),
                std::invalid_argument);
+
+  // GpuSpec values the aggregator would index or divide out of bounds with.
+  auto rejects = [&](auto mutate) {
+    GpuSpec spec = test_spec();
+    mutate(spec);
+    EXPECT_THROW(launch_items<NoState>(spec, LaunchConfig{1, 64, 1}, 1, noop),
+                 std::invalid_argument);
+  };
+  rejects([](GpuSpec& s) { s.warp_size = 16; });
+  rejects([](GpuSpec& s) { s.warp_size = 64; });
+  rejects([](GpuSpec& s) { s.shared_banks = 0; });
+  rejects([](GpuSpec& s) { s.shared_banks = 65; });
+  rejects([](GpuSpec& s) { s.sector_bytes = 0; });
+
+  GpuSpec edge = test_spec();
+  edge.shared_banks = 64;  // the largest bank count the model tallies
+  EXPECT_NO_THROW(launch_items<NoState>(edge, LaunchConfig{1, 64, 1}, 1, noop));
 }
 
 TEST(Launch, ZeroItemsIsANoOp) {

@@ -1,8 +1,14 @@
-// Direct unit tests of the warp aggregator — lane traces constructed by
-// hand, so every grouping rule is pinned without a kernel in the loop.
+// Direct unit tests of the warp aggregator — lane events recorded by hand,
+// so every grouping rule is pinned without a kernel in the loop.
 #include "simt/warp_trace.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
+#include <stdexcept>
+#include <vector>
 
 namespace tcgpu::simt {
 namespace {
@@ -18,7 +24,7 @@ GpuSpec unit_spec() {
 
 void push(WarpAggregator& agg, std::uint32_t l, std::uint64_t addr,
           std::uint32_t site, AccessKind kind, std::uint8_t size = 4) {
-  agg.lane(l).push(addr, site, kind, size);
+  agg.record(l, addr, site, kind, size);
 }
 
 TEST(WarpAggregator, EmptyFlushCostsNothing) {
@@ -87,8 +93,8 @@ TEST(WarpAggregator, DivergentLaneCountsGiveMaxSteps) {
 TEST(WarpAggregator, ComputeStepsUseMaxAcrossLanes) {
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
-  agg.lane(0).compute_steps = 10;
-  agg.lane(5).compute_steps = 4;
+  agg.compute(0, 10);
+  agg.compute(5, 4);
   KernelMetrics m;
   const double cycles = agg.flush(m);
   EXPECT_EQ(m.warp_steps, 10u);
@@ -208,8 +214,8 @@ TEST(WarpAggregator, StraddlingGroupDedupsSharedSectors) {
 }
 
 TEST(WarpAggregator, ScatteredSectorsStillDedupExactly) {
-  // Addresses spread far beyond the dedup bitmap's span (and duplicated):
-  // the wide-span fallback must still count each distinct sector once.
+  // Non-monotone addresses far apart (and duplicated): the scattered-group
+  // dedup must still count each distinct sector once.
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
   const std::uint64_t far = 1ull << 40;  // ~2^35 sectors away
@@ -224,9 +230,9 @@ TEST(WarpAggregator, ScatteredSectorsStillDedupExactly) {
 }
 
 TEST(WarpAggregator, ConvergedInterleavedSitesGroupBySite) {
-  // Every lane issues [site A, site B, site A] — eligible for the converged
-  // fast path. Grouping must still be per (site, occurrence): 2 requests at
-  // A, 1 at B, and the A groups stay coalesced.
+  // Every lane issues [site A, site B, site A]. Grouping is per (site,
+  // occurrence), not per position: 2 requests at A, 1 at B, and the A groups
+  // stay coalesced.
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
   for (std::uint32_t l = 0; l < 32; ++l) {
@@ -244,8 +250,9 @@ TEST(WarpAggregator, ConvergedInterleavedSitesGroupBySite) {
 
 TEST(WarpAggregator, ConvergedAndDivergentOrderingsAgree) {
   // The same logical warp once fully converged and once with one lane's
-  // trailing event withheld (forcing the sorted path): request totals match
-  // apart from the one missing lane-31 contribution.
+  // trailing event withheld: the withheld lane only drops out of its group,
+  // so request and step totals match apart from the one missing lane-31
+  // contribution.
   const GpuSpec spec = unit_spec();
   auto run = [&](bool withhold) {
     WarpAggregator agg(spec);
@@ -266,6 +273,31 @@ TEST(WarpAggregator, ConvergedAndDivergentOrderingsAgree) {
   EXPECT_EQ(fast.active_lane_steps, sorted.active_lane_steps + 1);
 }
 
+TEST(WarpAggregator, GroupTakesKindAndSizeFromItsLastLane) {
+  // One site, two lanes, different kinds and widths: the group is one
+  // request of lane 1's kind, and lane 1's 8-byte width makes its access at
+  // byte 28 straddle into sector 1.
+  const GpuSpec spec = unit_spec();
+  WarpAggregator agg(spec);
+  push(agg, 0, 0, 47, AccessKind::kGlobalLoad, 4);
+  push(agg, 1, 28, 47, AccessKind::kGlobalStore, 8);
+  KernelMetrics m;
+  agg.flush(m);
+  EXPECT_EQ(m.global_load_requests, 0u);
+  EXPECT_EQ(m.global_store_requests, 1u);
+  EXPECT_EQ(m.global_store_transactions, 2u);
+}
+
+TEST(WarpAggregator, LaneReturningAfterAHigherLaneThrows) {
+  // Buckets are lane slices of one array per site, so a lane may not record
+  // at a site again once a higher lane has.
+  const GpuSpec spec = unit_spec();
+  WarpAggregator agg(spec);
+  push(agg, 0, 0, 45, AccessKind::kGlobalLoad);
+  push(agg, 1, 4, 45, AccessKind::kGlobalLoad);
+  EXPECT_THROW(push(agg, 0, 8, 45, AccessKind::kGlobalLoad), std::logic_error);
+}
+
 TEST(WarpAggregator, AtomicsCountedSeparately) {
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
@@ -282,13 +314,229 @@ TEST(WarpAggregator, LanesAreClearedAfterFlush) {
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
   push(agg, 0, 0, 23, AccessKind::kGlobalLoad);
-  agg.lane(0).compute_steps = 3;
+  agg.compute(0, 3);
   KernelMetrics m;
   agg.flush(m);
-  EXPECT_TRUE(agg.lane(0).empty());
   const std::uint64_t steps_before = m.warp_steps;
   agg.flush(m);  // nothing recorded since
   EXPECT_EQ(m.warp_steps, steps_before);
+}
+
+// --- randomized differential check against a reference alignment ----------
+
+struct RefEvent {
+  std::uint64_t addr;
+  std::uint32_t site;
+  AccessKind kind;
+  std::uint8_t size;
+};
+
+/// One flush unit: each lane's events in program order, plus compute steps.
+struct RefUnit {
+  std::array<std::vector<RefEvent>, 32> lanes;
+  std::array<std::uint64_t, 32> compute{};
+};
+
+/// The documented alignment rule, written for clarity instead of speed:
+/// sites in first-appearance order over lanes 0..31, occurrence k of site s
+/// groups the k-th event at s of every lane that has one (lanes ascending),
+/// and a group takes its kind and size from its last lane. Sector dedup
+/// keeps first appearance; the sector cache is direct-mapped by sector id.
+class ReferenceAggregator {
+ public:
+  explicit ReferenceAggregator(const GpuSpec& spec) : spec_(spec) {}
+
+  void reset_cache() { cache_.clear(); }
+
+  double flush(const RefUnit& u, KernelMetrics& m) {
+    std::vector<std::uint32_t> order;
+    for (const auto& lane : u.lanes) {
+      for (const RefEvent& e : lane) {
+        if (std::find(order.begin(), order.end(), e.site) == order.end()) {
+          order.push_back(e.site);
+        }
+      }
+    }
+    std::uint64_t max_compute = 0;
+    std::uint64_t sum_compute = 0;
+    for (const std::uint64_t c : u.compute) {
+      max_compute = std::max(max_compute, c);
+      sum_compute += c;
+    }
+    if (order.empty() && sum_compute == 0) return 0.0;
+
+    std::uint64_t steps = max_compute;
+    std::uint64_t active = sum_compute;
+    double cycles = static_cast<double>(max_compute) * spec_.issue_cycles;
+    for (const std::uint32_t site : order) {
+      std::map<std::uint32_t, std::vector<RefEvent>> occ;  // lane -> events
+      std::size_t depth = 0;
+      for (std::uint32_t l = 0; l < 32; ++l) {
+        for (const RefEvent& e : u.lanes[l]) {
+          if (e.site == site) occ[l].push_back(e);
+        }
+        if (occ.count(l) != 0) depth = std::max(depth, occ[l].size());
+      }
+      for (std::size_t k = 0; k < depth; ++k) {
+        std::vector<std::uint64_t> addrs;
+        RefEvent last{};
+        for (const auto& [lane, events] : occ) {
+          if (k < events.size()) {
+            addrs.push_back(events[k].addr);
+            last = events[k];
+          }
+        }
+        const auto n = static_cast<std::uint32_t>(addrs.size());
+        steps += 1;
+        active += n;
+        cycles += spec_.issue_cycles;
+        const bool atomic = last.kind == AccessKind::kGlobalAtomic ||
+                            last.kind == AccessKind::kSharedAtomic;
+        if (atomic) cycles += n * spec_.atomic_extra_cycles;
+        if (last.kind <= AccessKind::kGlobalAtomic) {
+          std::vector<std::uint64_t> sectors;
+          for (const std::uint64_t a : addrs) {
+            for (std::uint64_t s = a / spec_.sector_bytes;
+                 s <= (a + last.size - 1) / spec_.sector_bytes; ++s) {
+              if (std::find(sectors.begin(), sectors.end(), s) == sectors.end()) {
+                sectors.push_back(s);
+              }
+            }
+          }
+          std::uint32_t misses = 0;
+          for (const std::uint64_t s : sectors) {
+            const std::uint32_t slot =
+                static_cast<std::uint32_t>(s) & (spec_.l1_cache_sectors - 1);
+            const auto it = cache_.find(slot);
+            if (it == cache_.end() || it->second != s) {
+              cache_[slot] = s;
+              ++misses;
+            }
+          }
+          const auto tx = static_cast<std::uint32_t>(sectors.size());
+          m.global_dram_transactions += misses;
+          cycles += misses * spec_.global_cycles_per_transaction +
+                    (tx - misses) * spec_.l1_hit_cycles;
+          if (last.kind == AccessKind::kGlobalLoad) {
+            m.global_load_requests += 1;
+            m.global_load_transactions += tx;
+          } else if (last.kind == AccessKind::kGlobalStore) {
+            m.global_store_requests += 1;
+            m.global_store_transactions += tx;
+          } else {
+            m.global_atomic_requests += 1;
+            m.global_atomic_transactions += tx;
+          }
+        } else {
+          std::vector<std::uint64_t> words;
+          for (const std::uint64_t a : addrs) {
+            if (std::find(words.begin(), words.end(), a >> 2) == words.end()) {
+              words.push_back(a >> 2);
+            }
+          }
+          std::uint32_t degree = 1;
+          for (std::uint32_t bank = 0; bank < spec_.shared_banks; ++bank) {
+            const auto in_bank = static_cast<std::uint32_t>(
+                std::count_if(words.begin(), words.end(), [&](std::uint64_t w) {
+                  return w % spec_.shared_banks == bank;
+                }));
+            degree = std::max(degree, in_bank);
+          }
+          m.shared_conflict_cycles += degree - 1;
+          cycles += degree * spec_.shared_cycles_per_access;
+          if (last.kind == AccessKind::kSharedLoad) m.shared_load_requests += 1;
+          if (last.kind == AccessKind::kSharedStore) m.shared_store_requests += 1;
+          if (last.kind == AccessKind::kSharedAtomic) m.shared_atomic_requests += 1;
+        }
+      }
+    }
+    m.warp_steps += steps;
+    m.active_lane_steps += active;
+    return cycles;
+  }
+
+ private:
+  const GpuSpec& spec_;
+  std::map<std::uint32_t, std::uint64_t> cache_;  // slot -> resident sector
+};
+
+TEST(WarpAggregator, RandomUnitsMatchReferenceAlignment) {
+  const GpuSpec spec = unit_spec();
+  std::mt19937_64 rng(20240518);
+  auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+  };
+  // A small site pool; each site has one fixed kind and width.
+  struct SiteSpec {
+    AccessKind kind;
+    std::uint8_t size;
+  };
+  std::vector<SiteSpec> pool;
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    pool.push_back({static_cast<AccessKind>(uniform(0, 5)),
+                    static_cast<std::uint8_t>(uniform(0, 1) != 0 ? 8 : 4)});
+  }
+
+  for (int trial = 0; trial < 40; ++trial) {
+    WarpAggregator agg(spec);
+    ReferenceAggregator ref(spec);
+    KernelMetrics got;
+    KernelMetrics want;
+    for (int unit = 0; unit < 12; ++unit) {
+      if (uniform(0, 7) == 0) {
+        agg.reset_cache();
+        ref.reset_cache();
+      }
+      RefUnit u;
+      const bool converged = uniform(0, 3) == 0;
+      // Per-site address pattern for this unit: coalesced, strided,
+      // scattered or broadcast; global addresses span 4 MiB so the
+      // 4096-sector cache both hits and evicts.
+      const std::uint64_t base = uniform(0, 1u << 22) & ~std::uint64_t{3};
+      auto address = [&](std::uint32_t pattern, std::uint32_t lane,
+                         std::uint32_t k, bool shared) -> std::uint64_t {
+        std::uint64_t a = 0;
+        switch (pattern) {
+          case 0: a = base + (k * 32 + lane) * 4; break;         // coalesced
+          case 1: a = base + (k * 32 + lane) * 132; break;       // strided
+          case 2: a = uniform(0, 1u << 22) & ~std::uint64_t{3}; break;  // scattered
+          default: a = base + k * 4; break;                      // broadcast
+        }
+        return shared ? a % (48 * 1024) : a;
+      };
+      std::array<std::uint32_t, 8> pattern;
+      for (auto& p : pattern) p = static_cast<std::uint32_t>(uniform(0, 3));
+
+      // A converged unit repeats one site sequence on every lane; otherwise
+      // each lane draws its own sequence of 0..20 events.
+      std::vector<std::uint32_t> common(uniform(1, 20));
+      for (auto& s : common) s = static_cast<std::uint32_t>(uniform(0, pool.size() - 1));
+      for (std::uint32_t l = 0; l < 32; ++l) {
+        std::vector<std::uint32_t> seq = common;
+        if (!converged) {
+          seq.resize(uniform(0, 20));
+          for (auto& s : seq) s = static_cast<std::uint32_t>(uniform(0, pool.size() - 1));
+        }
+        std::array<std::uint32_t, 8> seen{};
+        for (const std::uint32_t s : seq) {
+          const bool shared = pool[s].kind >= AccessKind::kSharedLoad;
+          const std::uint64_t a = address(pattern[s], l, seen[s]++, shared);
+          u.lanes[l].push_back({a, 100 + s, pool[s].kind, pool[s].size});
+        }
+        if (uniform(0, 3) == 0) u.compute[l] = uniform(0, 6);
+      }
+
+      for (std::uint32_t l = 0; l < 32; ++l) {  // lane-major, as the launcher
+        for (const RefEvent& e : u.lanes[l]) agg.record(l, e.addr, e.site, e.kind, e.size);
+        if (u.compute[l] != 0) agg.compute(l, u.compute[l]);
+      }
+      const double got_cycles = agg.flush(got);
+      const double want_cycles = ref.flush(u, want);
+      ASSERT_EQ(got_cycles, want_cycles) << "trial " << trial << " unit " << unit;
+      ASSERT_EQ(got, want) << "trial " << trial << " unit " << unit;
+    }
+    EXPECT_GT(want.warp_steps, 0u);
+  }
 }
 
 }  // namespace
