@@ -31,11 +31,10 @@ int main(int argc, char** argv) {
   const auto& algos = framework::pool_algorithms();
   const auto rows = engine.sweep(algos, std::cerr);
 
-  // Raw model: calibration forced to 1, refinement off.
+  // Raw model: calibration forced to 1.
   auto raw_models = serve::Selector::default_models();
   for (auto& m : raw_models) m.calibration = 1.0;
-  serve::Selector raw(raw_models,
-                      serve::Selector::Config{engine.config().spec, false});
+  serve::Selector raw(raw_models, engine.config().spec);
 
   // Fit: per algorithm, geometric mean of measured/modeled work time.
   std::map<std::string, std::pair<double, std::size_t>> log_ratio;  // sum, n
@@ -124,7 +123,7 @@ int main(int argc, char** argv) {
   // against the measured per-graph best. (The refit above is advisory: the
   // shipped calibration column additionally spreads the near-tied contenders
   // apart, so paste it back only together with a fresh accuracy check.)
-  serve::Selector sel(serve::Selector::Config{engine.config().spec, false});
+  serve::Selector sel(engine.config().spec);
   framework::ResultTable table(
       {"dataset", "E", "picked", "best", "picked_ms", "best_ms", "ratio", "ok"});
   std::size_t within = 0;

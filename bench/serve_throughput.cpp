@@ -5,12 +5,14 @@
 // closed-loop mixed traffic — a "small" tenant on light graphs, a "huge"
 // tenant on the heavyweights, a "mut" tenant committing mutation batches —
 // through the service's scheduler -> fleet. Per M, a serial warmup (one
-// query per dataset, fixed order) pins the decision table and the placement
-// table, so picks, placements and counts are reproducible run to run no
-// matter how the timed phase's threads interleave. --check-picks=
-// ds:algo,... and --check-placements=ds:placement,... turn the two tables
-// into CI regression gates (exit 3 on drift; placements depend on M, so
-// that gate requires --gpus). Reports per-M utilization, QPS and latency
+// query per dataset, fixed order) prints each dataset's pick and pins the
+// placement table, so picks, placements and counts are reproducible run to
+// run no matter how the timed phase's threads interleave (a pick is a pure
+// function of the graph and the hint; a placement latches per graph
+// version). --check-picks=ds:algo,... and --check-placements=
+// ds:placement,... turn the warmup picks and the placement table into CI
+// regression gates (exit 3 on drift; placements depend on M, so that gate
+// requires --gpus). Reports per-M utilization, QPS and latency
 // percentiles, plus per-tenant goodput. Exit codes: 0 = every reply ok and
 // every count matched the CPU reference, 1 = a failed query or a
 // mismatched count (sharded runs included), 2 = bad flags, 3 = drift.
@@ -43,7 +45,7 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/// (key, value) rows: pinned gate entries and latched decision tables.
+/// (key, value) rows: pinned gate entries, warmup picks and placements.
 using Table = std::vector<std::pair<std::string, std::string>>;
 
 /// Parses "key:value,..." gate strings (--check-picks, --check-placements).
@@ -60,11 +62,10 @@ bool parse_gate(const std::string& spec, Table* out) {
   return true;
 }
 
-/// Asserts pinned entries against a latched (key, value) table; prints one
+/// Asserts pinned entries against a (key, value) table; prints one
 /// "<WHAT> DRIFT" line per mismatch. Returns true when every pin holds.
-bool gate_holds(const char* what, const Table& pins, const Table& latched) {
-  const std::map<std::string, std::string> table(latched.begin(),
-                                                 latched.end());
+bool gate_holds(const char* what, const Table& pins, const Table& rows) {
+  const std::map<std::string, std::string> table(rows.begin(), rows.end());
   bool holds = true;
   for (const auto& [key, want] : pins) {
     const auto it = table.find(key);
@@ -185,6 +186,7 @@ int main(int argc, char** argv) {
     // --- serial warmup: pins picks and placements ------------------------
     framework::ResultTable warmup({"dataset", "algorithm", "placement",
                                    "modeled_ms", "measured_ms", "triangles"});
+    Table picks;
     for (const auto& name : warmup_order) {
       serve::QueryRequest req;
       req.dataset = name;
@@ -201,6 +203,7 @@ int main(int argc, char** argv) {
                   << reply.algorithm << ", " << reply.placement << ")\n";
         return 1;
       }
+      picks.emplace_back(name, reply.algorithm);
       warmup.add_row({name, reply.algorithm, reply.placement,
                       framework::ResultTable::fmt(reply.modeled.modeled_ms, 4),
                       framework::ResultTable::fmt(reply.stats.time_ms, 4),
@@ -213,7 +216,7 @@ int main(int argc, char** argv) {
                           ", edge cap " + std::to_string(opt.max_edges) + ")");
     }
     if (!pinned_picks.empty()) {
-      if (!gate_holds("PICK", pinned_picks, service.decision_table())) return 3;
+      if (!gate_holds("PICK", pinned_picks, picks)) return 3;
       std::cout << "# pinned picks hold\n";
     }
     if (!pinned_placements.empty()) {

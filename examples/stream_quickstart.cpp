@@ -8,9 +8,9 @@
 // commits as one delta (only wedges incident to the touched endpoints are
 // re-intersected, on the simulated GPU), bumps the dataset's version, and
 // invalidates every stale layer — the engine's cached prepares, the
-// materialized snapshot, cached results and placements, selector
-// refinement, and sticky picks. Count queries then answer against the
-// current version.
+// materialized snapshot, and the cached results and placements. Count
+// queries then answer against the current version, and the selector picks
+// their kernel from the new version's stats.
 #include <cstdio>
 #include <future>
 

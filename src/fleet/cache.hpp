@@ -1,9 +1,11 @@
 // fleet::ResultCache — versioned triangle-count memoization.
 //
-// A count is a pure function of (graph key, graph version, hint, algorithm):
-// the engine validates every run against the CPU reference and versions are
+// A count is a pure function of (graph key, graph version, algorithm): the
+// engine validates every run against the CPU reference and versions are
 // bumped by exactly one writer (the stream layer's commit), so a cached
-// entry can be replayed verbatim until its graph mutates. Invalidation is
+// entry can be replayed verbatim until its graph mutates. A query's hint
+// only chooses the kernel, so it is not part of the key: an accuracy query
+// whose pick matches the auto pick replays the same entry. Invalidation is
 // composed with stream versioning twice over — belt and braces:
 //
 //   * structurally, a mutated graph is queried at its NEW version, which is
@@ -19,8 +21,6 @@
 #include <mutex>
 #include <string>
 #include <tuple>
-
-#include "serve/selector.hpp"
 
 namespace tcgpu::fleet {
 
@@ -38,10 +38,10 @@ class ResultCache {
   };
 
   /// Returns true and fills `out` on a hit; counts the miss otherwise.
-  bool lookup(const std::string& key, std::uint64_t version, serve::Hint hint,
+  bool lookup(const std::string& key, std::uint64_t version,
               const std::string& algorithm, Entry* out) {
     std::lock_guard lk(mu_);
-    const auto it = entries_.find(Key{key, version, hint, algorithm});
+    const auto it = entries_.find(Key{key, version, algorithm});
     if (it == entries_.end()) {
       ++counters_.misses;
       return false;
@@ -51,20 +51,18 @@ class ResultCache {
     return true;
   }
 
-  void store(const std::string& key, std::uint64_t version, serve::Hint hint,
+  void store(const std::string& key, std::uint64_t version,
              const std::string& algorithm, Entry entry) {
     std::lock_guard lk(mu_);
-    entries_[Key{key, version, hint, algorithm}] = entry;
+    entries_[Key{key, version, algorithm}] = entry;
   }
 
-  /// Drops every entry of `key`, all versions/hints/algorithms. Returns how
-  /// many were dropped.
+  /// Drops every entry of `key`, all versions/algorithms. Returns how many
+  /// were dropped.
   std::size_t invalidate(const std::string& key) {
     std::lock_guard lk(mu_);
     std::size_t dropped = 0;
-    const auto lo = entries_.lower_bound(
-        Key{key, 0, serve::Hint::kAuto, std::string{}});
-    auto it = lo;
+    auto it = entries_.lower_bound(Key{key, 0, std::string{}});
     while (it != entries_.end() && std::get<0>(it->first) == key) {
       it = entries_.erase(it);
       ++dropped;
@@ -79,7 +77,7 @@ class ResultCache {
   }
 
  private:
-  using Key = std::tuple<std::string, std::uint64_t, serve::Hint, std::string>;
+  using Key = std::tuple<std::string, std::uint64_t, std::string>;
 
   mutable std::mutex mu_;
   std::map<Key, Entry> entries_;

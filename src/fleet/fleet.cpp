@@ -28,7 +28,7 @@ Fleet::Fleet(framework::Engine& engine, Config cfg)
     : engine_(engine),
       cfg_(cfg),
       cluster_(cluster_of(cfg_)),
-      selector_(serve::Selector::Config{engine.config().spec, /*refine=*/false}),
+      selector_(engine.config().spec),
       placer_(selector_,
               Placer::Config{cluster_, cfg.max_shards, cfg.strategy,
                              cfg.shard_min_kernel_ms, cfg.min_speedup}) {
@@ -43,9 +43,9 @@ Placement Fleet::placement_for(const ExecutionRequest& req) {
     const auto it = placements_.find(key);
     if (it != placements_.end()) return it->second;
   }
-  // Latched on first decision per (graph, version) — like selector picks —
-  // and computed from stats + config only (never load), so the table is
-  // reproducible across worker counts and arrival orders.
+  // Latched on first decision per (graph, version) and computed from
+  // stats + config only (never load), so the table is reproducible across
+  // worker counts and arrival orders.
   const Placement pl =
       placer_.decide(req.algorithm, req.modeled, req.graph->stats);
   std::lock_guard lk(mu_);
@@ -130,7 +130,7 @@ ExecutionOutcome Fleet::execute(const ExecutionRequest& req) {
   const Placement placement = placement_for(req);
   if (cfg_.result_cache) {
     ResultCache::Entry hit;
-    if (cache_.lookup(req.key, req.version, req.hint, req.algorithm, &hit)) {
+    if (cache_.lookup(req.key, req.version, req.algorithm, &hit)) {
       ExecutionOutcome out;
       out.cache_hit = true;
       out.run.algorithm = req.algorithm;
@@ -150,7 +150,7 @@ ExecutionOutcome Fleet::execute(const ExecutionRequest& req) {
       placement.sharded ? run_sharded(req, placement) : run_single(req);
   out.placement = placement.describe();
   if (cfg_.result_cache) {
-    cache_.store(req.key, req.version, req.hint, req.algorithm,
+    cache_.store(req.key, req.version, req.algorithm,
                  ResultCache::Entry{out.run.result.triangles, out.run.valid});
   }
   return out;

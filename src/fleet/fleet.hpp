@@ -3,12 +3,12 @@
 //
 // Unifies the serving and dist layers: every resolved query passes through
 //
-//   1. the result cache (cache.hpp) — a repeat of a (graph, version, hint,
+//   1. the result cache (cache.hpp) — a repeat of a (graph, version,
 //      kernel) question replays the validated count without touching a
 //      device; stream version bumps invalidate (Fleet::invalidate);
 //   2. the placer (placer.hpp) — one device vs sharding across the
 //      modeled interconnect, latched per (graph key, version) so placement
-//      tables are deterministic and CI-pinnable like selector picks;
+//      tables are deterministic and CI-pinnable;
 //   3. dispatch — a single-device run is one Engine::run charged to the
 //      least-busy slot; a sharded run goes through the width's
 //      dist::MultiDeviceRunner (baseline measurement off: the serving path
@@ -55,7 +55,6 @@ struct ExecutionRequest {
   /// queries. Together with `version` it keys result caching and placement.
   std::string key;
   std::uint64_t version = 0;  ///< graph version (0 = never mutated)
-  serve::Hint hint = serve::Hint::kAuto;
   std::string algorithm;  ///< kernel to run (selector's or caller's choice)
   /// The selector's single-device score for `algorithm` on this graph —
   /// placement decisions start from it instead of re-scoring.
@@ -91,10 +90,8 @@ class Fleet {
   };
 
   /// Borrows the engine (it must outlive the fleet). The placement cost
-  /// model runs on the fleet's own Selector instance over the engine's spec
-  /// — placement must not wobble with the service's online refinement.
-  /// Throws std::invalid_argument unless hosts is a positive divisor of
-  /// devices.
+  /// model runs on the fleet's own Selector over the engine's spec. Throws
+  /// std::invalid_argument unless hosts is a positive divisor of devices.
   Fleet(framework::Engine& engine, Config cfg);
 
   /// Thread-safe; throws what the run throws (std::out_of_range for an
@@ -128,7 +125,7 @@ class Fleet {
   framework::Engine& engine_;
   Config cfg_;
   simt::ClusterSpec cluster_;  ///< the topology cfg_ describes
-  serve::Selector selector_;  ///< placement scoring only (no refinement)
+  serve::Selector selector_;  ///< placement scoring only (sharded_cost)
   Placer placer_;
   ResultCache cache_;
 

@@ -13,7 +13,7 @@
 // Determinism contract: decide() is a pure function of (stats, single-device
 // score, config) — never of device load or arrival order — so placement
 // tables are reproducible across worker counts and pinnable in CI exactly
-// like the selector's decision table.
+// like the selector's picks.
 //
 // Widths are priced on the fleet's simt::ClusterSpec: a width that fits one
 // host pays only the intra link, while wider placements pay the inter-host

@@ -35,8 +35,8 @@ GraphStats compute_stats(const Csr& undirected);
 /// degree histogram (hist[d] = vertices of degree d) and the *directed*
 /// edge count (2E for a symmetric graph). Percentiles read the exact
 /// element a sort-then-index implementation would, so the parallel prepare
-/// pipeline produces bit-identical stats (serve::Selector keys graphs by
-/// these fields — any drift would silently fork its refinement state).
+/// pipeline produces bit-identical stats (serve::Selector scores graphs
+/// from these fields — any drift could silently move a pick).
 GraphStats stats_from_degree_histogram(VertexId num_vertices,
                                        std::uint64_t num_directed_edges,
                                        const std::vector<std::uint64_t>& hist);

@@ -8,34 +8,9 @@ namespace tcgpu::serve {
 
 namespace {
 
-/// Graph identity for refinement keys: a splitmix64 mix of the stats fields
-/// that pin a prepared graph. Deterministic across runs and platforms.
-std::uint64_t graph_identity(const graph::GraphStats& s) {
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h += 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 31;
-    return h * 0x94d049bb133111ebull;
-  };
-  std::uint64_t h = 0x2545f4914f6cdd1dull;
-  h = mix(h, static_cast<std::uint64_t>(s.num_vertices));
-  h = mix(h, s.num_undirected_edges);
-  h = mix(h, s.sum_out_degree_sq);
-  h = mix(h, static_cast<std::uint64_t>(s.max_out_degree));
-  return h;
-}
-
 double log2_safe(double v) { return std::log2(std::max(2.0, v)); }
 
 }  // namespace
-
-const char* to_string(Hint h) {
-  switch (h) {
-    case Hint::kAuto: return "auto";
-    case Hint::kAccuracy: return "accuracy";
-  }
-  return "?";
-}
 
 std::vector<AlgoModel> Selector::default_models() {
   using W = AlgoModel::Work;
@@ -71,13 +46,14 @@ std::vector<AlgoModel> Selector::default_models() {
   return models;
 }
 
-Selector::Selector(Config cfg) : Selector(default_models(), std::move(cfg)) {}
+Selector::Selector(simt::GpuSpec spec)
+    : Selector(default_models(), std::move(spec)) {}
 
-Selector::Selector(std::vector<AlgoModel> models, Config cfg)
-    : cfg_(std::move(cfg)), models_(std::move(models)) {}
+Selector::Selector(std::vector<AlgoModel> models, simt::GpuSpec spec)
+    : spec_(std::move(spec)), models_(std::move(models)) {}
 
-double Selector::raw_model_ms(const AlgoModel& m, const graph::GraphStats& stats,
-                              CostBreakdown* out) const {
+CostBreakdown Selector::cost(const AlgoModel& m,
+                             const graph::GraphStats& stats) const {
   const double n = static_cast<double>(stats.num_vertices);
   const double edges = static_cast<double>(stats.num_undirected_edges);
   const double davg = stats.avg_out_degree;
@@ -107,7 +83,7 @@ double Selector::raw_model_ms(const AlgoModel& m, const graph::GraphStats& stats
       // The shared->global bitmap cliff (ablation_bisson): once one bit per
       // vertex no longer fits the block's shared memory, every probe goes
       // to scattered global sectors.
-      if (n > static_cast<double>(cfg_.spec.shared_mem_per_block) * 8.0) {
+      if (n > static_cast<double>(spec_.shared_mem_per_block) * 8.0) {
         mem *= 4.0;
       }
       break;
@@ -140,18 +116,16 @@ double Selector::raw_model_ms(const AlgoModel& m, const graph::GraphStats& stats
   // kernels whose unit of work is one whole adjacency list.
   const double imbalance = std::pow(skew, m.imb_exponent);
 
-  const double launch_ms = cfg_.spec.launch_overhead_ms(m.launches);
-  const double work_ms =
-      m.calibration * cfg_.spec.parallel_cycles_to_ms(
-                          std::pow(work * mem, m.work_exponent) * imbalance);
-  if (out != nullptr) {
-    out->work = work;
-    out->imbalance = imbalance;
-    out->mem_factor = mem;
-    out->launch_ms = launch_ms;
-    out->modeled_ms = work_ms + launch_ms;
-  }
-  return work_ms + launch_ms;
+  CostBreakdown out;
+  out.work = work;
+  out.imbalance = imbalance;
+  out.mem_factor = mem;
+  out.launch_ms = spec_.launch_overhead_ms(m.launches);
+  out.modeled_ms =
+      m.calibration * spec_.parallel_cycles_to_ms(
+                          std::pow(work * mem, m.work_exponent) * imbalance) +
+      out.launch_ms;
+  return out;
 }
 
 std::vector<Candidate> Selector::score(const graph::GraphStats& stats,
@@ -160,13 +134,7 @@ std::vector<Candidate> Selector::score(const graph::GraphStats& stats,
   out.reserve(models_.size());
   for (const auto& m : models_) {
     if (hint == Hint::kAccuracy && m.fragile) continue;
-    Candidate c;
-    c.algorithm = m.name;
-    raw_model_ms(m, stats, &c.cost);
-    const double refine = refinement(m.name, stats);
-    c.cost.modeled_ms = (c.cost.modeled_ms - c.cost.launch_ms) * refine +
-                        c.cost.launch_ms;
-    out.push_back(std::move(c));
+    out.push_back({m.name, cost(m, stats)});
   }
   std::stable_sort(out.begin(), out.end(), [](const Candidate& a, const Candidate& b) {
     return a.cost.modeled_ms < b.cost.modeled_ms;
@@ -180,46 +148,6 @@ Candidate Selector::choose(const graph::GraphStats& stats, Hint hint) const {
     throw std::logic_error("Selector::choose: no algorithm admissible");
   }
   return std::move(ranked.front());
-}
-
-void Selector::observe(const std::string& algorithm,
-                       const graph::GraphStats& stats,
-                       const simt::KernelStats& measured) {
-  if (!cfg_.refine) return;
-  const AlgoModel* model = nullptr;
-  for (const auto& m : models_) {
-    if (m.name == algorithm) {
-      model = &m;
-      break;
-    }
-  }
-  if (model == nullptr) return;  // outside the registered universe
-
-  CostBreakdown cost;
-  raw_model_ms(*model, stats, &cost);
-  const double modeled_work_ms = cost.modeled_ms - cost.launch_ms;
-  const double measured_work_ms = measured.time_ms - cost.launch_ms;
-  if (modeled_work_ms <= 0.0 || measured_work_ms <= 0.0) return;
-  const double ratio =
-      std::clamp(measured_work_ms / modeled_work_ms, 1.0 / 16.0, 16.0);
-  std::lock_guard lk(mu_);
-  observed_[{algorithm, graph_identity(stats)}] = std::log(ratio);
-}
-
-double Selector::refinement(const std::string& algorithm,
-                            const graph::GraphStats& stats) const {
-  // Exact per-(algorithm, graph) correction only: a residual measured on
-  // one graph never perturbs the scores of another — cross-graph
-  // generalization is the fitted calibration's job (bench/selector_fit).
-  std::lock_guard lk(mu_);
-  const auto it = observed_.find({algorithm, graph_identity(stats)});
-  if (it == observed_.end()) return 1.0;
-  return std::clamp(std::exp(it->second), 0.25, 4.0);
-}
-
-std::size_t Selector::observations() const {
-  std::lock_guard lk(mu_);
-  return observed_.size();
 }
 
 PlacementCost Selector::sharded_cost(const std::string& algorithm,
@@ -295,21 +223,6 @@ PlacementCost Selector::sharded_cost(const std::string& algorithm,
   pc.comm_ms = scatter_ms + reduce_ms;
   pc.total_ms = pc.kernel_ms + pc.comm_ms;
   return pc;
-}
-
-std::size_t Selector::forget(const graph::GraphStats& stats) {
-  const std::uint64_t id = graph_identity(stats);
-  std::lock_guard lk(mu_);
-  std::size_t dropped = 0;
-  for (auto it = observed_.begin(); it != observed_.end();) {
-    if (it->first.second == id) {
-      it = observed_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
 }
 
 }  // namespace tcgpu::serve

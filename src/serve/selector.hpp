@@ -34,13 +34,9 @@
 // The per-algorithm (calibration, alpha, beta, hash_load) constants were
 // fit against the simulator's measured kernel times over the pinned
 // 19-dataset suite at the default edge cap (bench/selector_fit reports the
-// residuals and regenerates the calibration column). An online refinement
-// pass folds every completed run's measured KernelStats back in as an
-// exact per-(algorithm, graph identity) correction: repeated queries of a
-// graph score against what the kernel actually cost there, while scores
-// for unseen graphs stay on the fitted constants — one noisy residual
-// never perturbs the whole calibration, and the folded state is
-// order-independent for a fixed workload set.
+// residuals and regenerates the calibration column). Scoring is a pure
+// function of (GraphStats, hint): no measured run feeds back into it, so a
+// graph's pick never depends on which queries came before it.
 //
 // Only count queries are scored. A mutation batch of any size commits
 // through stream::DynamicGraph's one delta path, so there is nothing to
@@ -48,15 +44,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/stats.hpp"
 #include "simt/gpu_spec.hpp"
-#include "simt/metrics.hpp"
 
 namespace tcgpu::serve {
 
@@ -64,8 +56,6 @@ namespace tcgpu::serve {
 /// modes (the paper reports H-INDEX mis-counting on large high-degree
 /// graphs); kAuto scores the full registry.
 enum class Hint { kAuto, kAccuracy };
-
-const char* to_string(Hint h);
 
 /// The paper's three factors, as modeled for one (algorithm, graph) pair.
 struct CostBreakdown {
@@ -131,16 +121,10 @@ struct AlgoModel {
 
 class Selector {
  public:
-  struct Config {
-    simt::GpuSpec spec = simt::GpuSpec::v100();
-    bool refine = true;  ///< fold measured KernelStats into calibration
-  };
-
   /// Scores the twelve-kernel selection pool (default_models()).
-  Selector() : Selector(Config{}) {}
-  explicit Selector(Config cfg);
+  explicit Selector(simt::GpuSpec spec = simt::GpuSpec::v100());
   /// Custom universe (tests, restricted deployments).
-  Selector(std::vector<AlgoModel> models, Config cfg);
+  Selector(std::vector<AlgoModel> models, simt::GpuSpec spec);
 
   /// Scores every registered algorithm for this graph, ascending by
   /// modeled_ms (front = the choice). Never empty for a non-empty universe.
@@ -150,22 +134,6 @@ class Selector {
   /// The front door: argmin of score(). Throws std::logic_error when the
   /// hint filters out every registered algorithm.
   Candidate choose(const graph::GraphStats& stats, Hint hint = Hint::kAuto) const;
-
-  /// Online refinement: folds one completed run's measured stats back in.
-  /// Ratios are keyed by (algorithm, graph identity derived from stats), so
-  /// repeated queries of one graph count once and the folded state is
-  /// independent of completion order.
-  void observe(const std::string& algorithm, const graph::GraphStats& stats,
-               const simt::KernelStats& measured);
-
-  /// Effective refinement multiplier for scoring this graph: the exact
-  /// measured/modeled ratio once the (algorithm, graph) pair has been
-  /// observed, 1.0 before (unseen graphs ride the fitted calibration).
-  double refinement(const std::string& algorithm,
-                    const graph::GraphStats& stats) const;
-
-  /// Number of distinct (algorithm, graph) observations folded so far.
-  std::size_t observations() const;
 
   /// Models running `algorithm` split across `devices` even shards on a
   /// hosts x devices-per-host cluster, starting from its single-device
@@ -180,15 +148,7 @@ class Selector {
                              const graph::GraphStats& stats,
                              const simt::ClusterSpec& cluster) const;
 
-  /// Drops every folded observation for this graph identity (all
-  /// algorithms). The serve layer calls it when a streamed graph's version
-  /// bumps: the old ratios describe a graph that no longer exists, and the
-  /// next choice must re-score from the updated GraphStats alone. Returns
-  /// how many observations were dropped.
-  std::size_t forget(const graph::GraphStats& stats);
-
   const std::vector<AlgoModel>& models() const { return models_; }
-  const Config& config() const { return cfg_; }
 
   /// The selection pool — the paper's nine algorithms plus the three
   /// tc/intersect/ library kernels (framework::pool_algorithms()) — with
@@ -196,16 +156,10 @@ class Selector {
   static std::vector<AlgoModel> default_models();
 
  private:
-  double raw_model_ms(const AlgoModel& m, const graph::GraphStats& stats,
-                      CostBreakdown* out) const;
+  CostBreakdown cost(const AlgoModel& m, const graph::GraphStats& stats) const;
 
-  Config cfg_;
+  simt::GpuSpec spec_;
   std::vector<AlgoModel> models_;
-
-  mutable std::mutex mu_;  ///< guards observed_
-  /// (algorithm, graph identity) -> log(measured/modeled); refinement for a
-  /// graph is exp() of its own entry, clamped — exact, never cross-graph.
-  std::map<std::pair<std::string, std::uint64_t>, double> observed_;
 };
 
 }  // namespace tcgpu::serve

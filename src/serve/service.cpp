@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <sstream>
-#include <stdexcept>
-#include <tuple>
 
+#include "framework/registry.hpp"
 #include "stream/dynamic_graph.hpp"
 
 namespace tcgpu::serve {
 
 namespace {
 
-/// Content hash of an inline edge list — the batching/stickiness key for
+/// Content hash of an inline edge list — the batching and fleet key for
 /// queries that carry their graph with them. Deterministic across runs.
 std::uint64_t edges_hash(const graph::Coo& coo) {
   std::uint64_t h = 0x9e3779b97f4a7c15ull ^ coo.num_vertices;
@@ -79,8 +77,8 @@ struct QueryService::Pending {
   std::string key;   ///< batching key: dataset name or inline content hash;
                      ///< version-pinned queries append "@vN" so they never
                      ///< share a batch with head queries of the dataset
-  std::string pick;  ///< pick/fleet key: the bare graph identity (no @vN —
-                     ///< PickKey and the result cache carry the version)
+  std::string fleet_key;  ///< the bare graph identity (no @vN — the fleet's
+                          ///< placement and cache keys carry the version)
   QueryTrace trace;
   std::promise<QueryReply> promise;
 };
@@ -112,7 +110,7 @@ QueryService::QueryService(framework::Engine& engine,
     : engine_(engine),
       own_fleet_(std::move(own)),
       fleet_(borrowed != nullptr ? *borrowed : *own_fleet_),
-      selector_(Selector::Config{engine.config().spec}),
+      selector_(engine.config().spec),
       queue_(cfg.default_policy) {
   const std::size_t workers = std::max<std::size_t>(1, cfg.workers);
   workers_.reserve(workers);
@@ -164,12 +162,14 @@ std::future<QueryReply> QueryService::submit(QueryRequest req) {
     early.status = QueryStatus::kInvalidRequest;
     early.error = "inline graphs have no version history to pin";
   } else {
-    pending->pick = pending->req.dataset.empty()
-                        ? "inline:" + std::to_string(edges_hash(pending->req.edges))
-                        : pending->req.dataset;
-    pending->key = pending->req.version != 0
-                       ? pending->pick + "@v" + std::to_string(pending->req.version)
-                       : pending->pick;
+    pending->fleet_key =
+        pending->req.dataset.empty()
+            ? "inline:" + std::to_string(edges_hash(pending->req.edges))
+            : pending->req.dataset;
+    pending->key =
+        pending->req.version != 0
+            ? pending->fleet_key + "@v" + std::to_string(pending->req.version)
+            : pending->fleet_key;
     const std::uint64_t tick =
         deadline_tick(pending->trace.enqueue, pending->req.deadline_ms);
     // push() consumes the unique_ptr only on admission, so `pending` is
@@ -286,8 +286,6 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
   }
 
   const auto ss = stream_state(p.req.dataset, /*create=*/true);
-  bool changed = false;
-  std::uint64_t new_version = 0;
   {
     std::lock_guard slk(ss->m);
     p.trace.prepare_start = now();
@@ -308,7 +306,6 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
     }
     p.trace.prepare_done = now();
 
-    const graph::GraphStats old_stats = ss->dyn->snapshot()->stats();
     std::vector<stream::EdgeOp> ops;
     ops.reserve(p.req.insert_edges.size() + p.req.remove_edges.size());
     for (const auto& [u, v] : p.req.insert_edges) ops.push_back({u, v, true});
@@ -327,17 +324,13 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
     }
     p.trace.run_done = now();
 
-    changed = cr.changed;
-    new_version = cr.version;
     if (cr.changed) {
       // The version bumped: every layer describing the old graph goes —
-      // the old materialized snapshot; through the fleet, the engine's
+      // the old materialized snapshot and, through the fleet, the engine's
       // cached prepares of the dataset (a cache hit would resurrect
-      // pre-mutation data) and the cached results and placements; and the
-      // selector's folded refinement for the old stats.
+      // pre-mutation data) and the cached results and placements.
       ss->materialized.reset();
       fleet_.invalidate(p.req.dataset);
-      selector_.forget(old_stats);
     }
 
     reply.status = QueryStatus::kOk;
@@ -351,13 +344,6 @@ void QueryService::handle_mutation(Pending& p, const std::string& label) {
   {
     std::lock_guard lk(mu_);
     ++counters_.mutations;
-    if (changed) {
-      // Latches below the new version describe a graph that no longer
-      // exists; the next count query re-scores and re-latches at version N.
-      picks_.erase(
-          picks_.lower_bound(PickKey{p.req.dataset, 0, Hint::kAuto}),
-          picks_.lower_bound(PickKey{p.req.dataset, new_version, Hint::kAuto}));
-    }
   }
   finish(p, std::move(reply));
 }
@@ -486,43 +472,32 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
       continue;
     }
 
-    // Selection: caller override wins; otherwise the cost model, latched
-    // per (graph, version, hint) so a graph's routing is stable until its
-    // next mutation.
+    // Selection: caller override wins; otherwise the cost model's a-priori
+    // choice for this graph version and hint. A forced pool kernel is still
+    // priced (GroupTC-H, outside the pool, keeps a zero cost): the fleet
+    // latches the graph version's placement from this cost.
     std::string algo = p->req.algorithm;
     if (algo.empty()) {
       reply.selected = true;
-      const PickKey pick_key{p->pick, graph_version, p->req.hint};
-      bool latched = false;
-      {
-        std::lock_guard lk(mu_);
-        const auto it = picks_.find(pick_key);
-        if (it != picks_.end()) {
-          algo = it->second;
-          latched = true;
-        }
-      }
       try {
-        if (latched) {
-          for (auto& c : selector_.score(graph->stats, p->req.hint)) {
-            if (c.algorithm == algo) {
-              reply.modeled = c.cost;
-              break;
-            }
-          }
-        } else {
-          Candidate c = selector_.choose(graph->stats, p->req.hint);
-          algo = c.algorithm;
-          reply.modeled = c.cost;
-          std::lock_guard lk(mu_);
-          picks_.emplace(pick_key, algo);
-        }
+        Candidate c = selector_.choose(graph->stats, p->req.hint);
+        algo = std::move(c.algorithm);
+        reply.modeled = c.cost;
       } catch (const std::exception& e) {
-        reply.status = QueryStatus::kInvalidRequest;
         reply.error = e.what();
-        finish(*p, std::move(reply));
-        continue;
       }
+    } else if (framework::is_algorithm_name(algo)) {
+      for (const auto& c : selector_.score(graph->stats)) {
+        if (c.algorithm == algo) reply.modeled = c.cost;
+      }
+    } else {
+      reply.error = "unknown algorithm '" + algo + "' (valid: " +
+                    framework::valid_algorithm_list() + ")";
+    }
+    if (!reply.error.empty()) {
+      reply.status = QueryStatus::kInvalidRequest;
+      finish(*p, std::move(reply));
+      continue;
     }
     reply.algorithm = algo;
     p->trace.select_done = now();
@@ -530,8 +505,8 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     p->trace.run_start = now();
     try {
       const fleet::ExecutionOutcome out = fleet_.execute(
-          {.key = p->pick, .version = graph_version, .hint = p->req.hint,
-           .algorithm = algo, .modeled = reply.modeled, .graph = graph});
+          {.key = p->fleet_key, .version = graph_version, .algorithm = algo,
+           .modeled = reply.modeled, .graph = graph});
       p->trace.run_done = now();
       reply.triangles = out.run.result.triangles;
       reply.valid = out.run.valid;
@@ -542,19 +517,10 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
       reply.comm_ms = out.comm_ms;
       reply.placement = out.placement;
       reply.status = QueryStatus::kOk;
-      if (!out.cache_hit) {
-        // A cache hit carries no fresh KernelStats; folding its synthetic
-        // run back in would double-count the original observation.
-        selector_.observe(algo, graph->stats, out.run.result.total);
-      }
       if (from_stream) {
         std::lock_guard lk(mu_);
         ++counters_.stream_queries;
       }
-    } catch (const std::out_of_range& e) {
-      p->trace.run_done = now();
-      reply.status = QueryStatus::kInvalidRequest;  // unknown forced kernel
-      reply.error = e.what();
     } catch (const std::exception& e) {
       p->trace.run_done = now();
       reply.status = QueryStatus::kError;
@@ -563,20 +529,10 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     finish(*p, std::move(reply));
   }
 
-  // An inline graph has no identity past its batch: drop the pick it
-  // latched, its placement and cached result, and its refinement, so a
-  // stream of distinct inline graphs leaves no per-key state behind.
-  if (inline_graph) {
-    {
-      std::lock_guard lk(mu_);
-      for (auto it = picks_.lower_bound(PickKey{head.pick, 0, Hint::kAuto});
-           it != picks_.end() && std::get<0>(it->first) == head.pick;) {
-        it = picks_.erase(it);
-      }
-    }
-    fleet_.invalidate(head.pick);
-    selector_.forget(inline_graph->stats);
-  }
+  // An inline graph has no identity past its batch: drop its placement
+  // and cached result, so a stream of distinct inline graphs leaves no
+  // per-key state behind.
+  if (inline_graph) fleet_.invalidate(head.fleet_key);
 }
 
 ServiceCounters QueryService::counters() const {
@@ -587,27 +543,6 @@ ServiceCounters QueryService::counters() const {
 std::map<std::string, TenantStats> QueryService::tenant_stats() const {
   std::lock_guard lk(mu_);
   return tenant_stats_;
-}
-
-std::vector<std::pair<std::string, std::string>> QueryService::decision_table()
-    const {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::lock_guard lk(mu_);
-  out.reserve(picks_.size());
-  for (const auto& [key, algo] : picks_) {
-    const auto& [name, version, hint] = key;
-    std::string label = name;
-    if (version != 0) {
-      label += "@v";
-      label += std::to_string(version);
-    }
-    if (hint != Hint::kAuto) {
-      label += '@';
-      label += to_string(hint);
-    }
-    out.emplace_back(std::move(label), algo);
-  }
-  return out;
 }
 
 std::uint64_t QueryService::dataset_version(const std::string& dataset) const {

@@ -14,28 +14,25 @@
 //
 // Long-running processes stay bounded: the Engine's prepared-graph cache is
 // LRU-capped (Engine::Config::max_resident / Engine::evict), every run frees
-// its device images when it returns, and an inline graph's pick, placement,
-// cached result and refinement are dropped when its batch ends — so an
-// identical inline graph sent in a later batch is scored and run again.
+// its device images when it returns, and an inline graph's placement and
+// cached result are dropped when its batch ends — so an identical inline
+// graph sent in a later batch is run again.
 //
 // Mutations (DESIGN.md "Streaming & versioning"): a request may carry edge
 // inserts/removals for a named dataset. The first mutation moves the
 // dataset onto a stream::DynamicGraph; the batch commits as one delta
 // (inserts first, then removals) and bumps the dataset's version. A version
 // bump invalidates every stale layer — the Engine's cached prepares of the
-// dataset, the old materialized snapshot, the fleet's cached results and
-// placements, the Selector's folded refinement for the old stats, and the
-// sticky picks latched below the new version. Count queries on a streamed
-// dataset answer from the current snapshot's materialized DAG (built once
-// per version, never re-prepared from scratch).
+// dataset, the old materialized snapshot, and the fleet's cached results
+// and placements. Count queries on a streamed dataset answer from the
+// current snapshot's materialized DAG (built once per version, never
+// re-prepared from scratch).
 //
 // Determinism contract: for a fixed workload set, selector decisions and
-// counts are reproducible. Decisions are latched per (graph, version, hint)
-// on first choice — version-keyed, so a latch cannot outlive a mutation —
-// and refinement state is keyed by (algorithm, graph), so neither depends
-// on which worker finished first; a serial warmup (one query per distinct
-// graph, fixed order — what bench/serve_throughput does) pins the whole
-// decision table.
+// counts are reproducible. Each query's pick is Selector::choose(stats,
+// hint) on the graph version it reads — a pure function of the graph and
+// the hint, so it depends on neither the queries before it nor which
+// worker finished first.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +42,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -196,12 +191,6 @@ class QueryService {
   std::map<std::string, TenantStats> tenant_stats() const;
   const Selector& selector() const { return selector_; }
 
-  /// The latched (graph key, version, hint) -> algorithm decision table,
-  /// sorted by key — what bench/serve_throughput prints and CI pins.
-  /// Version-0 entries print as the bare key (the pinned static picks);
-  /// later versions as "key@vN", and non-auto hints append "@hint".
-  std::vector<std::pair<std::string, std::string>> decision_table() const;
-
   /// Current version of a streamed dataset (0 if it never mutated).
   std::uint64_t dataset_version(const std::string& dataset) const;
 
@@ -230,10 +219,8 @@ class QueryService {
   Scheduler<std::unique_ptr<Pending>> queue_;
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mu_;  ///< guards picks_, streams_ shape, counters_,
+  mutable std::mutex mu_;  ///< guards streams_ shape, counters_,
                            ///< tenant_stats_, stopped_
-  using PickKey = std::tuple<std::string, std::uint64_t, Hint>;
-  std::map<PickKey, std::string> picks_;
   std::map<std::string, std::shared_ptr<StreamState>> streams_;
   ServiceCounters counters_;
   std::map<std::string, TenantStats> tenant_stats_;

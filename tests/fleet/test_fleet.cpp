@@ -46,7 +46,7 @@ TEST(FleetIdentity, SingleDeviceReplyMatchesDirectEngineRun) {
   framework::Engine engine(small_engine());
   serve::QueryService service(engine);  // its own one-device fleet
   framework::Engine direct(small_engine());
-  const serve::Selector apriori(serve::Selector::Config{direct.config().spec});
+  const serve::Selector apriori(direct.config().spec);
 
   for (const std::string name : {"As-Caida", "Email-EuAll", "P2p-Gnutella31"}) {
     const auto reply = service.submit(dataset_query(name)).get();
@@ -126,6 +126,44 @@ TEST(FleetPlacement, ShardedRunCountsExactly) {
   }
   EXPECT_GT(busy, 0.0);
   EXPECT_EQ(runs, reply.devices);
+}
+
+TEST(FleetPlacement, ForcedKernelQueriesDoNotUnpricePlacement) {
+  // A graph version's placement latches from its first query's modeled
+  // cost. An unknown kernel name must be rejected before the fleet, and a
+  // forced pool kernel must carry its model score, or every later auto
+  // query of that version inherits a placement priced at zero.
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  fc.devices = 4;
+  fc.shard_min_kernel_ms = 0.0;
+  fc.min_speedup = 1.0;
+  fc.interconnect = free_link();
+  Fleet fleet(engine, fc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
+
+  auto typo = dataset_query("As-Caida");
+  typo.algorithm = "Polka";
+  const auto rejected = service.submit(std::move(typo)).get();
+  EXPECT_EQ(rejected.status, serve::QueryStatus::kInvalidRequest);
+  EXPECT_NE(rejected.error.find("unknown algorithm 'Polka' (valid: "),
+            std::string::npos)
+      << rejected.error;
+  EXPECT_TRUE(fleet.placement_table().empty());
+  const auto after_typo = service.submit(dataset_query("As-Caida")).get();
+  ASSERT_EQ(after_typo.status, serve::QueryStatus::kOk);
+  EXPECT_TRUE(after_typo.sharded) << after_typo.placement;
+
+  auto polak = dataset_query("Email-EuAll");
+  polak.algorithm = "Polak";
+  const auto forced = service.submit(std::move(polak)).get();
+  ASSERT_EQ(forced.status, serve::QueryStatus::kOk);
+  EXPECT_FALSE(forced.selected);
+  EXPECT_GT(forced.modeled.modeled_ms, 0.0);
+  EXPECT_TRUE(forced.sharded) << forced.placement;
+  const auto after_forced = service.submit(dataset_query("Email-EuAll")).get();
+  ASSERT_EQ(after_forced.status, serve::QueryStatus::kOk);
+  EXPECT_TRUE(after_forced.sharded) << after_forced.placement;
 }
 
 TEST(FleetPlacement, TinyKernelsStaySingle) {

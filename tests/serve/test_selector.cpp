@@ -80,7 +80,7 @@ TEST(SelectorChoose, ThrowsWhenHintFiltersEverything) {
   std::vector<AlgoModel> only_fragile = {
       {"H-INDEX", AlgoModel::Work::kHash, 1, 0.8, 0.1, 0.0, 1.0,
        /*fragile=*/true}};
-  Selector sel(only_fragile, Selector::Config{});
+  Selector sel(only_fragile, simt::GpuSpec::v100());
   EXPECT_NO_THROW(sel.choose(small_stats(), Hint::kAuto));
   EXPECT_THROW(sel.choose(small_stats(), Hint::kAccuracy), std::logic_error);
 }
@@ -99,72 +99,6 @@ TEST(SelectorModel, GroupTcTrustCrossover) {
   };
   EXPECT_LT(cost_of("GroupTC", small_stats()), cost_of("TRUST", small_stats()));
   EXPECT_LT(cost_of("TRUST", large_stats()), cost_of("GroupTC", large_stats()));
-}
-
-TEST(SelectorRefine, ObservationsFoldDeterministically) {
-  Selector::Config cfg;
-  cfg.refine = true;
-  Selector a(cfg), b(cfg);
-  const auto small = small_stats();
-  const auto large = large_stats();
-  EXPECT_DOUBLE_EQ(a.refinement("Polak", small), 1.0);  // no data yet
-
-  simt::KernelStats fast;  // measured 2x faster than modeled
-  fast.time_ms = a.choose(small).cost.modeled_ms * 0.5;
-  simt::KernelStats slow;
-  slow.time_ms = a.choose(large).cost.modeled_ms * 2.0;
-
-  const std::string algo = a.choose(small).algorithm;
-  // Same observations, opposite arrival order: identical folded state.
-  a.observe(algo, small, fast);
-  a.observe(algo, large, slow);
-  b.observe(algo, large, slow);
-  b.observe(algo, small, fast);
-  EXPECT_DOUBLE_EQ(a.refinement(algo, small), b.refinement(algo, small));
-  EXPECT_DOUBLE_EQ(a.refinement(algo, large), b.refinement(algo, large));
-  EXPECT_EQ(a.observations(), 2u);
-
-  // Corrections are exact per graph: the fast small-graph run pulls that
-  // graph's score down without touching the large graph's, and vice versa.
-  EXPECT_LT(a.refinement(algo, small), 1.0);
-  EXPECT_GT(a.refinement(algo, large), 1.0);
-
-  // Re-observing the same (algorithm, graph) replaces, not accumulates.
-  a.observe(algo, small, fast);
-  EXPECT_EQ(a.observations(), 2u);
-  EXPECT_DOUBLE_EQ(a.refinement(algo, small), b.refinement(algo, small));
-}
-
-TEST(SelectorRefine, RefinementShiftsScoresButStaysClamped) {
-  Selector::Config cfg;
-  cfg.refine = true;
-  Selector sel(cfg);
-  const auto st = small_stats();
-  const auto before = sel.choose(st);
-
-  simt::KernelStats crawl;  // measured wildly slower than modeled
-  crawl.time_ms = before.cost.modeled_ms * 1000.0;
-  sel.observe(before.algorithm, st, crawl);
-  EXPECT_LE(sel.refinement(before.algorithm, st), 4.0);  // clamped
-  // The chosen algorithm's refined score went up on this graph...
-  for (const auto& c : sel.score(st)) {
-    if (c.algorithm == before.algorithm) {
-      EXPECT_GT(c.cost.modeled_ms, before.cost.modeled_ms);
-    }
-  }
-  // ...while an unseen graph's scores are untouched (no cross-graph bleed).
-  EXPECT_DOUBLE_EQ(sel.refinement(before.algorithm, large_stats()), 1.0);
-}
-
-TEST(SelectorRefine, DisabledConfigIgnoresObservations) {
-  Selector::Config cfg;
-  cfg.refine = false;
-  Selector sel(cfg);
-  simt::KernelStats s;
-  s.time_ms = 100.0;
-  sel.observe("Polak", small_stats(), s);
-  EXPECT_EQ(sel.observations(), 0u);
-  EXPECT_DOUBLE_EQ(sel.refinement("Polak", small_stats()), 1.0);
 }
 
 TEST(SelectorSharded, OneDeviceIsAPassthrough) {

@@ -22,8 +22,7 @@ struct Grid {
   std::vector<framework::SweepRow> rows;
   Selector selector;
 
-  Grid()
-      : selector(Selector::Config{simt::GpuSpec::v100(), /*refine=*/false}) {
+  Grid() : selector(simt::GpuSpec::v100()) {
     framework::Engine::Config cfg;  // defaults = the pinned suite
     framework::Engine engine(cfg);
     std::ostringstream progress;

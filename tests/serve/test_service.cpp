@@ -6,6 +6,7 @@
 #include <future>
 #include <vector>
 
+#include "framework/registry.hpp"
 #include "gen/er.hpp"
 
 namespace tcgpu::serve {
@@ -237,7 +238,7 @@ TEST(ServiceDeterminism, DecisionTableAndCountsAreReproducible) {
   auto run_service = [&](bool reversed) {
     framework::Engine engine(small_engine());
     QueryService service(engine);
-    // Warmup serially in fixed order: pins the decision table.
+    // Warmup serially in fixed order.
     for (const auto& ds : workload) {
       EXPECT_EQ(service.submit(dataset_query(ds)).get().status,
                 QueryStatus::kOk);
@@ -259,12 +260,36 @@ TEST(ServiceDeterminism, DecisionTableAndCountsAreReproducible) {
                            reply.triangles);
     }
     std::sort(results.begin(), results.end());
-    return std::make_pair(service.decision_table(), results);
+    return results;
   };
-  const auto a = run_service(false);
-  const auto b = run_service(true);
-  EXPECT_EQ(a.first, b.first);    // same picks per graph
-  EXPECT_EQ(a.second, b.second);  // same (graph, algorithm, count) triples
+  // Same (graph, algorithm, count) triples: same picks, same counts.
+  EXPECT_EQ(run_service(false), run_service(true));
+}
+
+TEST(ServiceDeterminism, PickIsAPureFunctionOfTheGraphAndHint) {
+  // Query history must not move a pick: after every pool kernel has been
+  // forced once on the graph, auto and accuracy queries still get the
+  // a-priori choice and its modeled cost.
+  framework::Engine engine(small_engine());
+  QueryService service(engine);
+  for (const auto& entry : framework::pool_algorithms()) {
+    auto req = dataset_query("As-Caida");
+    req.algorithm = entry.name;
+    ASSERT_EQ(service.submit(std::move(req)).get().status, QueryStatus::kOk)
+        << entry.name;
+  }
+  const auto pg = engine.prepare("As-Caida");
+  const Selector apriori(engine.config().spec);
+  for (const Hint hint : {Hint::kAuto, Hint::kAuto, Hint::kAccuracy}) {
+    SCOPED_TRACE(hint == Hint::kAuto ? "auto" : "accuracy");
+    auto req = dataset_query("As-Caida");
+    req.hint = hint;
+    const auto reply = service.submit(std::move(req)).get();
+    ASSERT_EQ(reply.status, QueryStatus::kOk);
+    const auto pick = apriori.choose(pg->stats, hint);
+    EXPECT_EQ(reply.algorithm, pick.algorithm);
+    EXPECT_EQ(reply.modeled.modeled_ms, pick.cost.modeled_ms);
+  }
 }
 
 TEST(ServiceEviction, CappedEngineStaysBoundedUnderRotation) {
@@ -285,10 +310,9 @@ TEST(ServiceEviction, CappedEngineStaysBoundedUnderRotation) {
 }
 
 TEST(ServiceLifetime, InlineGraphsLeaveNoPerKeyState) {
-  // Each distinct inline graph latches a pick, a fleet placement, a cached
-  // result and a selector observation; all of them go when its batch ends.
-  // One worker runs the batches in order, so each has ended before the
-  // next query is popped.
+  // Each distinct inline graph latches a fleet placement and a cached
+  // result; both go when its batch ends. One worker runs the batches in
+  // order, so each has ended before the next query is popped.
   framework::Engine engine(small_engine());
   fleet::Fleet fleet(engine, fleet::Fleet::Config{});
   QueryService::Config cfg;
@@ -305,15 +329,13 @@ TEST(ServiceLifetime, InlineGraphsLeaveNoPerKeyState) {
     EXPECT_TRUE(reply.valid) << seed;
     EXPECT_FALSE(reply.cache_hit) << seed;
   }
-  // An identical graph sent in a later batch is scored and run again.
+  // An identical graph sent in a later batch is run again.
   const auto again = service.submit(inline_query(1)).get();
   ASSERT_EQ(again.status, QueryStatus::kOk);
   EXPECT_FALSE(again.cache_hit);
 
   service.shutdown();  // joins the worker: every batch has ended
-  EXPECT_TRUE(service.decision_table().empty());
   EXPECT_TRUE(fleet.placement_table().empty());
-  EXPECT_EQ(service.selector().observations(), 0u);
 }
 
 }  // namespace
