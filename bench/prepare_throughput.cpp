@@ -1,21 +1,20 @@
 // Prepare-pipeline throughput benchmark: the parallel radix clean/orient
-// path (graph/prepare.cpp) against a verbatim copy of the legacy serial
-// pipeline it replaced, on the same raw edge lists. Reports edges/sec and
-// the peak-RSS of each path (the old path materializes raw + cleaned +
-// doubled undirected CSR; the new one consumes raw in place), plus the
-// compressed-vs-raw adjacency crossover: bytes and simulated kernel time of
-// the varint CMerge kernel against Polak, the raw loop it decodes over, per
-// dataset.
+// path (graph/prepare.cpp) on one raw edge list. Reports edges/sec and the
+// peak RSS of the prepare, checks the DAG it built against a pinned digest,
+// and measures the compressed-vs-raw adjacency crossover: bytes and
+// simulated kernel time of the varint CMerge kernel against Polak, the raw
+// loop it decodes over, per dataset.
 //
 // Emits JSON so the perf trajectory is tracked across PRs; --check compares
 // edges/sec against a checked-in baseline and fails on >25% regression (the
-// CI prepare-throughput gate, mirroring bench/sim_overhead).
+// CI prepare-throughput gate, mirroring bench/sim_overhead). Exit 1 on a
+// digest mismatch, a failed kernel validation or a regression.
 //
 // Flags: --quick            smaller edge caps, CI-friendly runtimes
 //        --out=PATH         write the JSON report to PATH
 //        --check=PATH       compare against a baseline JSON, exit 1 on regression
 //        --repeats=N        timing repeats per workload (default 3, best-of)
-//        --threads=N        OMP threads for the parallel path (default: all)
+//        --threads=N        OMP threads for the prepare (default: all)
 #include <omp.h>
 
 #include <algorithm>
@@ -29,7 +28,6 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,93 +37,25 @@
 #include "framework/runner.hpp"
 #include "gen/paper_datasets.hpp"
 #include "graph/csr.hpp"
-#include "graph/orientation.hpp"
 #include "graph/prepare.hpp"
-#include "graph/stats.hpp"
 
 namespace {
 
 using namespace tcgpu;
 
-// --- the pre-radix serial pipeline, kept verbatim as the speedup yardstick --
-namespace serial_baseline {
-
-graph::Coo clean_edges(const graph::Coo& raw) {
-  std::vector<graph::Edge> edges;
-  edges.reserve(raw.edges.size());
-  for (const auto& [u, v] : raw.edges) {
-    if (u == v) continue;  // self-loop
-    if (u >= raw.num_vertices || v >= raw.num_vertices) {
-      throw std::invalid_argument("clean_edges: vertex id out of range");
+/// FNV-1a over the DAG's row offsets, then its column indices.
+std::uint64_t dag_digest(const graph::Csr& dag) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ull;
     }
-    edges.emplace_back(std::min(u, v), std::max(u, v));
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  std::vector<graph::VertexId> remap(raw.num_vertices, graph::kInvalidVertex);
-  graph::VertexId next = 0;
-  for (const auto& [u, v] : edges) {
-    if (remap[u] == graph::kInvalidVertex) remap[u] = 0;
-    if (remap[v] == graph::kInvalidVertex) remap[v] = 0;
-  }
-  for (graph::VertexId v = 0; v < raw.num_vertices; ++v) {
-    if (remap[v] != graph::kInvalidVertex) remap[v] = next++;
-  }
-  for (auto& [u, v] : edges) {
-    u = remap[u];
-    v = remap[v];
-  }
-
-  graph::Coo out;
-  out.num_vertices = next;
-  out.edges = std::move(edges);
-  return out;
+  };
+  for (const graph::EdgeIndex x : dag.row_ptr()) mix(x);
+  for (const graph::VertexId x : dag.col()) mix(x);
+  return h;
 }
-
-graph::Csr csr_from_pairs(graph::VertexId num_vertices,
-                          std::vector<graph::Edge>& pairs) {
-  std::vector<graph::EdgeIndex> row_ptr(
-      static_cast<std::size_t>(num_vertices) + 1, 0);
-  for (const auto& [u, v] : pairs) {
-    (void)v;
-    row_ptr[u + 1]++;
-  }
-  for (std::size_t i = 1; i < row_ptr.size(); ++i) row_ptr[i] += row_ptr[i - 1];
-  std::vector<graph::VertexId> col(pairs.size());
-  std::vector<graph::EdgeIndex> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (const auto& [u, v] : pairs) col[cursor[u]++] = v;
-  for (graph::VertexId v = 0; v < num_vertices; ++v) {
-    std::sort(col.begin() + row_ptr[v], col.begin() + row_ptr[v + 1]);
-  }
-  return graph::Csr(std::move(row_ptr), std::move(col));
-}
-
-graph::Csr build_undirected_csr(const graph::Coo& clean) {
-  std::vector<graph::Edge> pairs;
-  pairs.reserve(clean.edges.size() * 2);
-  for (const auto& [u, v] : clean.edges) {
-    pairs.emplace_back(u, v);
-    pairs.emplace_back(v, u);
-  }
-  return csr_from_pairs(clean.num_vertices, pairs);
-}
-
-/// The full legacy prepare: clean -> undirected CSR -> stats -> orient ->
-/// DAG stats. Identical composition to the pre-overhaul framework runner.
-graph::Csr prepare(const graph::Coo& raw, graph::GraphStats& stats) {
-  // Qualified: graph::clean_edges / build_undirected_csr are the parallel
-  // pipeline's and would otherwise be found by argument-dependent lookup.
-  const graph::Coo clean = serial_baseline::clean_edges(raw);
-  const graph::Csr undirected = serial_baseline::build_undirected_csr(clean);
-  stats = graph::compute_stats(undirected);
-  auto oriented =
-      graph::orient(undirected, graph::OrientationPolicy::kByDegree);
-  graph::fold_dag_stats(oriented.dag, stats);
-  return std::move(oriented.dag);
-}
-
-}  // namespace serial_baseline
 
 struct PrepareResult {
   std::string name;
@@ -274,33 +204,24 @@ int main(int argc, char** argv) {
   const auto raw_edges = static_cast<std::uint64_t>(raw.edges.size());
 
   std::vector<PrepareResult> prepares;
-  graph::Csr serial_dag;
-  {
-    graph::GraphStats stats;
-    prepares.push_back(time_prepare(
-        "serial_prepare", raw_edges, repeats, [] {},
-        [&] { serial_dag = serial_baseline::prepare(raw, stats); }));
-  }
-  graph::Csr parallel_dag;
+  graph::Csr dag;
   {
     graph::Coo staged;
     prepares.push_back(time_prepare(
         "parallel_prepare", raw_edges, repeats, [&] { staged = raw; },
-        [&] {
-          auto prepared = graph::prepare_dag(
-              std::move(staged), graph::OrientationPolicy::kByDegree);
-          parallel_dag = std::move(prepared.dag);
-        }));
+        [&] { dag = graph::prepare_dag(std::move(staged)).dag; }));
   }
-  if (!(serial_dag == parallel_dag)) {
-    std::cerr << "parallel prepare diverged from the serial baseline\n";
+  // Digest of the Com-Orkut DAG at each cap (seed 42). A change to
+  // cleaning, ordering or CSR assembly that moves the DAG fails here.
+  const std::uint64_t pinned =
+      quick ? 0xa74a74ce4cf24bdaull : 0x94b8604e4ebcbbc0ull;
+  const std::uint64_t digest = dag_digest(dag);
+  if (digest != pinned) {
+    std::fprintf(stderr, "prepare DAG digest %016llx != pinned %016llx\n",
+                 static_cast<unsigned long long>(digest),
+                 static_cast<unsigned long long>(pinned));
     return 1;
   }
-  const double speedup = prepares[0].seconds / prepares[1].seconds;
-  const double rss_drop =
-      prepares[0].peak_rss_mb > 0.0
-          ? 1.0 - prepares[1].peak_rss_mb / prepares[0].peak_rss_mb
-          : 0.0;
 
   // Compressed-vs-raw crossover: varint decode trades extra compute for a
   // smaller adjacency stream, so CMerge gains on dense small-gap rows and
@@ -340,8 +261,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.edges), r.seconds,
                 r.edges_per_sec(), r.peak_rss_mb);
   }
-  std::printf("speedup %.2fx  peak-RSS drop %.0f%%  (threads=%d)\n", speedup,
-              rss_drop * 100.0, threads);
+  std::printf("dag digest %016llx  (threads=%d)\n",
+              static_cast<unsigned long long>(digest), threads);
   std::printf("%-16s %12s %12s %8s %14s %12s\n", "dataset", "raw_B", "cmp_B",
               "ratio", "polak_ms", "cmerge_ms");
   for (const auto& c : crossover) {

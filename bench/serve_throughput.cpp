@@ -7,9 +7,9 @@
 // through the service's scheduler -> fleet. Per M, a serial warmup (one
 // query per dataset, fixed order) prints each dataset's pick and pins the
 // placement table, so picks, placements and counts are reproducible run to
-// run no matter how the timed phase's threads interleave (a pick is a pure
-// function of the graph and the hint; a placement latches per graph
-// version). --check-picks=ds:algo,... and --check-placements=
+// run no matter how the timed phase's threads interleave (a pick and a
+// placement are pure functions of the graph version and the config).
+// --check-picks=ds:algo,... and --check-placements=
 // ds:placement,... turn the warmup picks and the placement table into CI
 // regression gates (exit 3 on drift; placements depend on M, so that gate
 // requires --gpus). Reports per-M utilization, QPS and latency

@@ -1,4 +1,5 @@
-// Table II: the 19 evaluation datasets with vertices / edges / avg degree.
+// Table II: the 19 evaluation datasets (or the --datasets selection) with
+// vertices / edges / avg degree.
 // Prints the paper's target numbers next to the *achieved* statistics of the
 // synthetic stand-ins (computed from the generated graphs, not copied), plus
 // the downscale factor applied by the edge cap. Stats and reference counts
@@ -24,6 +25,11 @@ int main(int argc, char** argv) {
                                 "paper_deg", "scale", "gen_V", "gen_E", "gen_deg",
                                 "triangles", "prepare_ms", "peak_rss_mb"});
   for (const auto& ds : gen::paper_datasets()) {
+    if (!opt.datasets.empty()) {
+      bool selected = false;
+      for (const auto& want : opt.datasets) selected |= want == ds.name;
+      if (!selected) continue;
+    }
     const double scale = gen::dataset_scale(ds, opt.max_edges);
     const auto pg = engine.prepare(ds);
     table.add_row({ds.name, gen::to_string(ds.family),

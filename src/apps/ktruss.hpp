@@ -31,7 +31,7 @@ struct KTrussResult {
   simt::KernelStats gpu_stats;
 };
 
-/// Decomposes an oriented DAG (u < v per edge; see graph::orient).
+/// Decomposes an oriented DAG (u < v per edge; see graph::prepare_dag).
 KTrussResult ktruss_decompose(const graph::Csr& dag, const simt::GpuSpec& spec,
                               std::uint32_t chunk = 256);
 

@@ -113,7 +113,7 @@ class Partitioner {
   Partitioner(PartitionStrategy strategy, std::uint32_t num_devices,
               std::uint64_t seed, std::uint32_t hosts = 1);
 
-  /// Shards an oriented DAG (graph::orient output). N == 1 returns one
+  /// Shards an oriented DAG (graph::prepare_dag output). N == 1 returns one
   /// whole-graph shard with use_anchor_list == false, whose device image is
   /// bit-identical to DeviceGraph::upload's.
   Partitioning partition(const graph::Csr& dag) const;

@@ -3,9 +3,9 @@
 // A count is a pure function of (graph key, graph version, algorithm): the
 // engine validates every run against the CPU reference and versions are
 // bumped by exactly one writer (the stream layer's commit), so a cached
-// entry can be replayed verbatim until its graph mutates. A query's hint
-// only chooses the kernel, so it is not part of the key: an accuracy query
-// whose pick matches the auto pick replays the same entry. Invalidation is
+// entry can be replayed verbatim until its graph mutates. How the kernel
+// was chosen is not part of the key: a query forcing the kernel the
+// selector would pick replays the auto query's entry. Invalidation is
 // composed with stream versioning twice over — belt and braces:
 //
 //   * structurally, a mutated graph is queried at its NEW version, which is

@@ -43,11 +43,11 @@ Placement Fleet::placement_for(const ExecutionRequest& req) {
     const auto it = placements_.find(key);
     if (it != placements_.end()) return it->second;
   }
-  // Latched on first decision per (graph, version) and computed from
-  // stats + config only (never load), so the table is reproducible across
-  // worker counts and arrival orders.
-  const Placement pl =
-      placer_.decide(req.algorithm, req.modeled, req.graph->stats);
+  // Priced from the selector's pick, not the kernel the query runs, and
+  // from stats + config only (never load): the table is the same whatever
+  // the arrival order, worker count or forced kernels.
+  const serve::Candidate pick = selector_.choose(req.graph->stats);
+  const Placement pl = placer_.decide(pick.algorithm, pick.cost, req.graph->stats);
   std::lock_guard lk(mu_);
   return placements_.emplace(key, pl).first->second;
 }

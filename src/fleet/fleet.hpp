@@ -7,8 +7,9 @@
 //      kernel) question replays the validated count without touching a
 //      device; stream version bumps invalidate (Fleet::invalidate);
 //   2. the placer (placer.hpp) — one device vs sharding across the
-//      modeled interconnect, latched per (graph key, version) so placement
-//      tables are deterministic and CI-pinnable;
+//      modeled interconnect, priced from the selector's pick for the graph
+//      version whatever kernel the query runs, so a placement is a function
+//      of (stats, config) and placement tables are CI-pinnable;
 //   3. dispatch — a single-device run is one Engine::run charged to the
 //      least-busy slot; a sharded run goes through the width's
 //      dist::MultiDeviceRunner (baseline measurement off: the serving path
@@ -56,9 +57,6 @@ struct ExecutionRequest {
   std::string key;
   std::uint64_t version = 0;  ///< graph version (0 = never mutated)
   std::string algorithm;  ///< kernel to run (selector's or caller's choice)
-  /// The selector's single-device score for `algorithm` on this graph —
-  /// placement decisions start from it instead of re-scoring.
-  serve::CostBreakdown modeled;
   framework::Engine::GraphHandle graph;
 };
 
@@ -89,8 +87,8 @@ class Fleet {
     simt::InterconnectSpec inter = simt::InterconnectSpec::ib_edr();
   };
 
-  /// Borrows the engine (it must outlive the fleet). The placement cost
-  /// model runs on the fleet's own Selector over the engine's spec. Throws
+  /// Borrows the engine (it must outlive the fleet). Placements are priced
+  /// on the fleet's own Selector over the engine's spec. Throws
   /// std::invalid_argument unless hosts is a positive divisor of devices.
   Fleet(framework::Engine& engine, Config cfg);
 
@@ -103,7 +101,7 @@ class Fleet {
   /// every commit of `key` and at the end of every inline batch.
   void invalidate(const std::string& key);
 
-  /// The latched (graph key, version) -> placement table, sorted — what
+  /// The (graph key, version) -> placement table, sorted — what
   /// bench/serve_throughput prints and CI pins. Version-0 entries print as
   /// the bare key, later versions as "key@vN".
   std::vector<std::pair<std::string, std::string>> placement_table() const;
@@ -125,7 +123,7 @@ class Fleet {
   framework::Engine& engine_;
   Config cfg_;
   simt::ClusterSpec cluster_;  ///< the topology cfg_ describes
-  serve::Selector selector_;  ///< placement scoring only (sharded_cost)
+  serve::Selector selector_;  ///< prices placements (choose, sharded_cost)
   Placer placer_;
   ResultCache cache_;
 

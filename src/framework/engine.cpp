@@ -53,8 +53,7 @@ Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
 }
 
 Engine::Engine(const BenchOptions& opt)
-    : Engine(Config{spec_for(opt.gpu), opt.max_edges, opt.seed,
-                    graph::OrientationPolicy::kByDegree, opt.datasets,
+    : Engine(Config{spec_for(opt.gpu), opt.max_edges, opt.seed, opt.datasets,
                     opt.jobs, opt.max_resident}) {}
 
 Engine::GraphHandle Engine::prepare_cached(const PrepareKey& key,
@@ -87,7 +86,7 @@ Engine::GraphHandle Engine::prepare_cached(const PrepareKey& key,
   std::lock_guard lk(entry->m);
   if (!entry->value) {
     entry->value = std::make_shared<PreparedGraph>(
-        prepare_dataset(spec, key.max_edges, key.seed, key.policy));
+        prepare_dataset(spec, key.max_edges, key.seed));
     std::lock_guard sl(stats_mu_);
     ++counters_.prepares;
   } else {
@@ -98,7 +97,7 @@ Engine::GraphHandle Engine::prepare_cached(const PrepareKey& key,
 }
 
 Engine::GraphHandle Engine::prepare(const gen::DatasetSpec& spec) {
-  return prepare_cached({spec.name, cfg_.max_edges, cfg_.seed, cfg_.policy}, spec);
+  return prepare_cached({spec.name, cfg_.max_edges, cfg_.seed}, spec);
 }
 
 Engine::GraphHandle Engine::prepare(const std::string& dataset_name) {
@@ -107,7 +106,7 @@ Engine::GraphHandle Engine::prepare(const std::string& dataset_name) {
 
 Engine::GraphHandle Engine::prepare_raw(std::string name, const graph::Coo& raw) {
   auto pg = std::make_shared<PreparedGraph>(
-      prepare_graph(std::move(name), raw, cfg_.policy));
+      prepare_graph(std::move(name), raw));
   std::lock_guard sl(stats_mu_);
   ++counters_.prepares;
   return pg;
@@ -141,7 +140,7 @@ bool Engine::evict(const PrepareKey& key) {
 }
 
 bool Engine::evict(const std::string& dataset_name) {
-  return evict(PrepareKey{dataset_name, cfg_.max_edges, cfg_.seed, cfg_.policy});
+  return evict(PrepareKey{dataset_name, cfg_.max_edges, cfg_.seed});
 }
 
 std::size_t Engine::invalidate(const std::string& dataset_name) {

@@ -6,8 +6,8 @@
 //   1. Prepared-graph cache. The CPU-side pipeline (generate → clean →
 //      orient → CPU reference count) is the dominant end-to-end cost for
 //      small simulated kernels, and every figure bench used to repeat it per
-//      binary run. The engine keys it by (dataset, max_edges, seed,
-//      orientation policy) and runs it once per graph per process.
+//      binary run. The engine keys it by (dataset, max_edges, seed) and
+//      runs it once per graph per process.
 //
 //   2. Per-run upload. Each run uploads the graph's DAG to a fresh Device,
 //      allocates its scratch after it and frees both when it returns — the
@@ -46,7 +46,6 @@ struct PrepareKey {
   std::string dataset;
   std::uint64_t max_edges = 0;
   std::uint64_t seed = 0;
-  graph::OrientationPolicy policy = graph::OrientationPolicy::kByDegree;
 
   auto operator<=>(const PrepareKey&) const = default;
 };
@@ -83,7 +82,6 @@ class Engine {
     simt::GpuSpec spec = simt::GpuSpec::v100();
     std::uint64_t max_edges = 100'000;  ///< per-dataset edge cap (0 = none)
     std::uint64_t seed = 42;
-    graph::OrientationPolicy policy = graph::OrientationPolicy::kByDegree;
     std::vector<std::string> datasets;  ///< sweep selection; empty = all 19
     std::size_t workers = 1;            ///< parallel cells; 0 = auto, 1 = serial
     /// Prepared-graph cache cap (0 = unbounded). When a prepare would push
@@ -131,10 +129,10 @@ class Engine {
   /// not resident. Handles already given out keep working; the next prepare
   /// of the key reruns the pipeline.
   bool evict(const PrepareKey& key);
-  /// Same for a paper dataset under this engine's cap/seed/policy.
+  /// Same for a paper dataset under this engine's cap/seed.
   bool evict(const std::string& dataset_name);
-  /// Drops every cached prepare of `dataset_name` regardless of cap, seed
-  /// or orientation policy. The stream layer calls this on a version bump
+  /// Drops every cached prepare of `dataset_name` regardless of cap or
+  /// seed. The stream layer calls this on a version bump
   /// so no pre-mutation prepare can be re-served from the cache. Returns
   /// how many entries were dropped.
   std::size_t invalidate(const std::string& dataset_name);

@@ -9,13 +9,12 @@
 
 namespace tcgpu::framework {
 
-PreparedGraph prepare_graph(std::string name, graph::Coo&& raw,
-                            graph::OrientationPolicy policy) {
+PreparedGraph prepare_graph(std::string name, graph::Coo&& raw) {
   PreparedGraph pg;
   pg.name = std::move(name);
   const bool rss_isolated = reset_peak_rss();
   const auto t0 = std::chrono::steady_clock::now();
-  auto prepared = graph::prepare_dag(std::move(raw), policy);
+  auto prepared = graph::prepare_dag(std::move(raw));
   pg.stats = prepared.stats;
   pg.dag = std::move(prepared.dag);
   pg.reference_triangles = graph::count_triangles_forward_parallel(pg.dag);
@@ -28,16 +27,15 @@ PreparedGraph prepare_graph(std::string name, graph::Coo&& raw,
   return pg;
 }
 
-PreparedGraph prepare_graph(std::string name, const graph::Coo& raw,
-                            graph::OrientationPolicy policy) {
+PreparedGraph prepare_graph(std::string name, const graph::Coo& raw) {
   graph::Coo copy = raw;
-  return prepare_graph(std::move(name), std::move(copy), policy);
+  return prepare_graph(std::move(name), std::move(copy));
 }
 
 PreparedGraph prepare_dataset(const gen::DatasetSpec& spec, std::uint64_t max_edges,
-                              std::uint64_t seed, graph::OrientationPolicy policy) {
+                              std::uint64_t seed) {
   graph::Coo raw = gen::generate_dataset(spec, max_edges, seed);
-  return prepare_graph(spec.name, std::move(raw), policy);
+  return prepare_graph(spec.name, std::move(raw));
 }
 
 simt::GpuSpec spec_for(const std::string& gpu_name) {

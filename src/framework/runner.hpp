@@ -8,7 +8,6 @@
 
 #include "gen/paper_datasets.hpp"
 #include "graph/cpu_reference.hpp"
-#include "graph/orientation.hpp"
 #include "graph/stats.hpp"
 #include "tc/common.hpp"
 #include "tc/device_graph.hpp"
@@ -26,20 +25,15 @@ struct PreparedGraph {
 
 /// Generates (with the edge cap applied), cleans, orients and reference-counts
 /// one of the paper's datasets.
-PreparedGraph prepare_dataset(
-    const gen::DatasetSpec& spec, std::uint64_t max_edges, std::uint64_t seed,
-    graph::OrientationPolicy policy = graph::OrientationPolicy::kByDegree);
+PreparedGraph prepare_dataset(const gen::DatasetSpec& spec,
+                              std::uint64_t max_edges, std::uint64_t seed);
 
 /// Same pipeline for an arbitrary raw edge list (loader output, tests).
 /// The rvalue overload consumes the edge storage (graph::prepare_dag frees
 /// it mid-pipeline, which is what keeps billion-edge peak RSS at ~2 key
 /// arrays); the const& overload copies and delegates.
-PreparedGraph prepare_graph(
-    std::string name, graph::Coo&& raw,
-    graph::OrientationPolicy policy = graph::OrientationPolicy::kByDegree);
-PreparedGraph prepare_graph(
-    std::string name, const graph::Coo& raw,
-    graph::OrientationPolicy policy = graph::OrientationPolicy::kByDegree);
+PreparedGraph prepare_graph(std::string name, graph::Coo&& raw);
+PreparedGraph prepare_graph(std::string name, const graph::Coo& raw);
 
 struct RunOutcome {
   std::string algorithm;

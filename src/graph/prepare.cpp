@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <numeric>
-#include <random>
 #include <stdexcept>
 #include <utility>
 
@@ -120,17 +118,6 @@ void dedup_sorted_keys(std::vector<std::uint64_t>& keys,
 int vertex_bits(VertexId num_vertices) {
   if (num_vertices <= 1) return 1;
   return std::bit_width(static_cast<std::uint32_t>(num_vertices - 1));
-}
-
-/// Serial O(V) histogram of a degree array (one cache-friendly pass; the
-/// array scan is never the pipeline bottleneck).
-std::vector<std::uint64_t> histogram_of_degrees(
-    const std::vector<EdgeIndex>& deg) {
-  EdgeIndex max_d = 0;
-  for (const EdgeIndex d : deg) max_d = std::max(max_d, d);
-  std::vector<std::uint64_t> hist(static_cast<std::size_t>(max_d) + 1, 0);
-  for (const EdgeIndex d : deg) hist[d]++;
-  return hist;
 }
 
 /// Parallel CSR assembly from directed (src, dst) emissions: atomic degree
@@ -294,8 +281,7 @@ Csr build_directed_csr(VertexId num_vertices, const std::vector<Edge>& edges) {
       });
 }
 
-PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
-                        std::uint64_t seed) {
+PreparedDag prepare_dag(Coo&& raw) {
   Coo clean = clean_edges(std::move(raw));
   const VertexId V = clean.num_vertices;
   const std::uint64_t E = clean.edges.size();
@@ -303,7 +289,7 @@ PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
     throw std::length_error("prepare_dag: cleaned edge count exceeds 32-bit index");
   }
 
-  // Undirected degrees + histogram stats — no symmetric CSR required.
+  // Undirected degrees — no symmetric CSR required.
   std::vector<EdgeIndex> deg(V, 0);
 #pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(E); ++i) {
@@ -313,86 +299,49 @@ PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
 #pragma omp atomic
     deg[v]++;
   }
-  const std::vector<std::uint64_t> hist = histogram_of_degrees(deg);
+  const std::vector<std::uint64_t> hist = histogram_of(deg);
 
+  // rank[old id] = new id: a counting sort by (degree asc, id asc) —
+  // exactly std::stable_sort by degree, in O(V + max_degree).
+  std::vector<VertexId> rank(V);
+  {
+    std::vector<std::uint64_t> next(hist.size(), 0);
+    for (std::size_t d = 1; d < hist.size(); ++d) {
+      next[d] = next[d - 1] + hist[d - 1];
+    }
+    for (VertexId v = 0; v < V; ++v) {
+      rank[v] = static_cast<VertexId>(next[deg[v]]++);
+    }
+  }
+
+  // DODG straight from the cleaned edges: the oriented edge of (a, b) is
+  // (min(ra, rb), max(ra, rb)); row sorting erases scatter order.
   PreparedDag out;
-  out.stats = stats_from_degree_histogram(V, 2 * E, hist);
-
-  if (policy == OrientationPolicy::kByCore) {
-    // The peeling order needs full adjacency; build it (in parallel) and
-    // reuse graph::orient. Everything downstream is shared.
-    const Csr undirected = build_undirected_csr(clean);
-    auto oriented = orient(undirected, policy, seed);
-    out.dag = std::move(oriented.dag);
-    out.new_to_old = std::move(oriented.new_to_old);
-  } else {
-    std::vector<VertexId> order(V);  // order[rank] = old id
-    switch (policy) {
-      case OrientationPolicy::kById:
-        std::iota(order.begin(), order.end(), VertexId{0});
-        break;
-      case OrientationPolicy::kRandom: {
-        std::iota(order.begin(), order.end(), VertexId{0});
-        std::mt19937_64 rng(seed);
-        std::shuffle(order.begin(), order.end(), rng);
-        break;
-      }
-      case OrientationPolicy::kByDegree: {
-        // Counting sort by (degree asc, id asc) — exactly std::stable_sort
-        // by degree, in O(V + max_degree).
-        std::vector<std::uint64_t> start(hist.size() + 1, 0);
-        for (std::size_t d = 0; d < hist.size(); ++d) {
-          start[d + 1] = start[d] + hist[d];
-        }
-        for (VertexId v = 0; v < V; ++v) {
-          order[start[deg[v]]++] = v;
-        }
-        break;
-      }
-      case OrientationPolicy::kByCore:
-        break;  // handled above
-    }
-
-    std::vector<VertexId> rank(V);  // rank[old id] = new id
+  out.dag = assemble_csr(
+      V, E, [&](bool count_phase, EdgeIndex* slots, VertexId* col) {
 #pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(V); ++r) {
-      rank[order[static_cast<std::size_t>(r)]] = static_cast<VertexId>(r);
-    }
-
-    // DODG straight from the cleaned edges: the oriented edge of (a, b) is
-    // (min(ra, rb), max(ra, rb)); row sorting erases scatter order.
-    out.dag = assemble_csr(
-        V, E, [&](bool count_phase, EdgeIndex* slots, VertexId* col) {
-#pragma omp parallel for schedule(static)
-          for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(E); ++i) {
-            const auto [a, b] = clean.edges[static_cast<std::size_t>(i)];
-            const VertexId ra = rank[a], rb = rank[b];
-            const VertexId src = std::min(ra, rb);
-            if (count_phase) {
+        for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(E); ++i) {
+          const auto [a, b] = clean.edges[static_cast<std::size_t>(i)];
+          const VertexId ra = rank[a], rb = rank[b];
+          const VertexId src = std::min(ra, rb);
+          if (count_phase) {
 #pragma omp atomic
-              slots[src]++;
-            } else {
-              EdgeIndex idx;
+            slots[src]++;
+          } else {
+            EdgeIndex idx;
 #pragma omp atomic capture
-              idx = slots[src]++;
-              col[idx] = std::max(ra, rb);
-            }
+            idx = slots[src]++;
+            col[idx] = std::max(ra, rb);
           }
-        });
-    out.new_to_old = std::move(order);
-  }
+        }
+      });
 
-  // Fold the DAG quantities from its out-degree histogram.
   std::vector<EdgeIndex> out_deg(V);
-  std::uint64_t sum_sq = 0;
-#pragma omp parallel for schedule(static) reduction(+ : sum_sq)
+#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t u = 0; u < static_cast<std::ptrdiff_t>(V); ++u) {
-    const EdgeIndex d = out.dag.degree(static_cast<VertexId>(u));
-    out_deg[static_cast<std::size_t>(u)] = d;
-    sum_sq += static_cast<std::uint64_t>(d) * d;
+    out_deg[static_cast<std::size_t>(u)] = out.dag.degree(static_cast<VertexId>(u));
   }
-  fold_dag_stats_from_histogram(V, out.dag.num_edges(), sum_sq,
-                                histogram_of_degrees(out_deg), out.stats);
+  out.stats = stats_from_histograms(V, E, hist, histogram_of(out_deg));
   return out;
 }
 

@@ -1,29 +1,21 @@
-// Graph cleaning and CSR assembly — the paper's §IV preparation pipeline
-// ("removing vertices that are not connected to any edges, eliminating
-// self-loop edges, and resolving duplicate edges within the graph"), run
-// in parallel for the billion-edge capacity path.
-//
-// The serial route — std::sort + unique clean → undirected CSR →
-// compute_stats → orient → fold_dag_stats — materializes the full
-// symmetric CSR just to read degrees and emit oriented edges. At paper
-// scale (Com-Friendster, 1.8 B raw edges) that is both the wall-clock and
-// the memory ceiling of every cache-miss query. This header is the fused
-// replacement:
+// Graph cleaning, degree orientation and CSR assembly — the paper's §IV
+// preparation pipeline ("removing vertices that are not connected to any
+// edges, eliminating self-loop edges, and resolving duplicate edges within
+// the graph"), run in parallel for the billion-edge capacity path:
 //
 //   * clean_edges — OMP-partitioned LSD radix sort of the canonicalized
 //     (min,max)-packed edge keys, parallel merge-dedup, and id
 //     compaction. Takes the raw edges by value and releases them once the
 //     keys exist, so a caller that moves in keeps the peak working set at
 //     two key arrays, not raw + cleaned + pair-doubled copies.
-//   * prepare_dag — degree-ordered-directed-graph (DODG) orientation built
-//     straight from the cleaned edge list + rank array, *without* ever
-//     materializing the undirected CSR (kByCore still needs it for the
-//     peeling order and falls back to graph::orient). Stats come from
-//     degree histograms (graph/stats.hpp) and are bit-identical to the
-//     compute_stats + fold_dag_stats values of the serial route.
+//   * prepare_dag — the degree-ordered directed graph (DODG) every kernel
+//     consumes, built straight from the cleaned edge list + rank array
+//     without materializing the undirected CSR. Stats come from degree
+//     histograms (graph/stats.hpp).
 //
-// Equivalence invariants (tested in tests/graph/test_prepare.cpp and
-// pinned end-to-end by the fig11/12/13 byte-identity gate):
+// Invariants (tested in tests/graph/test_prepare.cpp against a
+// std::set / std::stable_sort oracle, and pinned end-to-end by the
+// fig11/12/13 byte-identity gate):
 //   - radix order of (u << vbits | v) keys == lexicographic pair order, so
 //     dedup and the monotone id compaction see the same sequence;
 //   - the compaction map is monotone, so canonical (min,max) edges stay
@@ -33,12 +25,10 @@
 //     csr assembly sorts rows, so scatter order never shows.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
-#include "graph/orientation.hpp"
 #include "graph/stats.hpp"
 
 namespace tcgpu::graph {
@@ -46,9 +36,8 @@ namespace tcgpu::graph {
 /// Everything the framework needs from one prepare, minus the CPU
 /// reference count (the runner layers that on top).
 struct PreparedDag {
-  Csr dag;                           ///< oriented CSR, u < v for every edge
-  std::vector<VertexId> new_to_old;  ///< relabeling map (size = V)
-  GraphStats stats;                  ///< undirected + DAG quantities
+  Csr dag;           ///< degree-oriented CSR, u < v for every edge
+  GraphStats stats;  ///< undirected + DAG quantities
 };
 
 /// Canonicalizes a raw edge list into a simple undirected graph: drops
@@ -61,14 +50,12 @@ struct PreparedDag {
 /// Throws std::invalid_argument on out-of-range vertex ids.
 Coo clean_edges(Coo raw);
 
-/// The fused pipeline: clean → histogram stats → orient (DODG direct from
-/// the edge list for kByDegree/kById/kRandom; undirected-CSR fallback for
-/// kByCore) → fold DAG stats. Bit-identical to the serial
-/// clean/build/compute/orient/fold composition for every policy.
+/// Cleans `raw`, relabels vertices by (degree asc, id asc) and keeps each
+/// edge once, from the lower new id to the higher (the forward algorithm's
+/// orientation), and computes its GraphStats from degree histograms.
 /// Throws std::length_error if the cleaned edge count exceeds the kernels'
 /// 32-bit device indices.
-PreparedDag prepare_dag(Coo&& raw, OrientationPolicy policy,
-                        std::uint64_t seed = 0);
+PreparedDag prepare_dag(Coo&& raw);
 
 /// Builds the symmetric (both-direction) CSR of a cleaned edge list
 /// (atomic degree count, prefix scatter, per-row sorts). Neighbor lists

@@ -14,9 +14,7 @@ EdgeIndex hist_max(const std::vector<std::uint64_t>& hist) {
   return 0;
 }
 
-/// Value at `idx` of the (conceptual) ascending sorted degree array — the
-/// exact element a sort-then-index implementation would read, so the
-/// histogram and sorted-array stats paths agree bit for bit.
+/// Value at `idx` of the (conceptual) ascending sorted degree array.
 EdgeIndex hist_quantile(const std::vector<std::uint64_t>& hist, std::uint64_t idx) {
   std::uint64_t cum = 0;
   for (std::size_t d = 0; d < hist.size(); ++d) {
@@ -26,11 +24,7 @@ EdgeIndex hist_quantile(const std::vector<std::uint64_t>& hist, std::uint64_t id
   return hist_max(hist);
 }
 
-/// Index of the 99th percentile in an ascending array of `size` elements —
-/// shared so every stats path uses the same truncation.
-std::uint64_t p99_index(std::uint64_t size) {
-  return static_cast<std::uint64_t>(static_cast<double>(size - 1) * 0.99);
-}
+}  // namespace
 
 std::vector<std::uint64_t> histogram_of(const std::vector<EdgeIndex>& degrees) {
   EdgeIndex max_d = 0;
@@ -40,66 +34,32 @@ std::vector<std::uint64_t> histogram_of(const std::vector<EdgeIndex>& degrees) {
   return hist;
 }
 
-}  // namespace
-
-GraphStats stats_from_degree_histogram(VertexId num_vertices,
-                                       std::uint64_t num_directed_edges,
-                                       const std::vector<std::uint64_t>& hist) {
+GraphStats stats_from_histograms(VertexId num_vertices, std::uint64_t num_edges,
+                                 const std::vector<std::uint64_t>& degree_hist,
+                                 const std::vector<std::uint64_t>& out_degree_hist) {
   GraphStats s;
   s.num_vertices = num_vertices;
-  s.num_undirected_edges = num_directed_edges / 2;
+  s.num_undirected_edges = num_edges;
   if (num_vertices == 0) return s;
-  s.max_degree = hist_max(hist);
-  s.median_degree = hist_quantile(hist, num_vertices / 2);
-  s.p99_degree = hist_quantile(hist, p99_index(num_vertices));
-  s.avg_degree = static_cast<double>(num_directed_edges) /
-                 static_cast<double>(num_vertices);
-  return s;
-}
+  const auto n = static_cast<double>(num_vertices);
+  const auto p99_idx =
+      static_cast<std::uint64_t>(static_cast<double>(num_vertices - 1) * 0.99);
 
-GraphStats compute_stats(const Csr& g) {
-  std::vector<EdgeIndex> degrees(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) degrees[v] = g.degree(v);
-  return stats_from_degree_histogram(g.num_vertices(), g.num_edges(),
-                                     histogram_of(degrees));
-}
+  s.max_degree = hist_max(degree_hist);
+  s.median_degree = hist_quantile(degree_hist, num_vertices / 2);
+  s.p99_degree = hist_quantile(degree_hist, p99_idx);
+  s.avg_degree = static_cast<double>(2 * num_edges) / n;
 
-void fold_dag_stats_from_histogram(VertexId num_vertices,
-                                   std::uint64_t num_dag_edges,
-                                   std::uint64_t sum_out_degree_sq,
-                                   const std::vector<std::uint64_t>& out_hist,
-                                   GraphStats& s) {
-  const VertexId n = num_vertices;
-  if (n == 0) return;
-  s.max_out_degree = hist_max(out_hist);
-  s.p99_out_degree = hist_quantile(out_hist, p99_index(n));
-  s.avg_out_degree =
-      static_cast<double>(num_dag_edges) / static_cast<double>(n);
-  s.sum_out_degree_sq = sum_out_degree_sq;
+  s.max_out_degree = hist_max(out_degree_hist);
+  s.p99_out_degree = hist_quantile(out_degree_hist, p99_idx);
+  s.avg_out_degree = static_cast<double>(num_edges) / n;
+  for (std::size_t d = 0; d < out_degree_hist.size(); ++d) {
+    s.sum_out_degree_sq += out_degree_hist[d] * d * d;
+  }
   s.out_degree_skew = s.avg_out_degree > 0.0
                           ? static_cast<double>(s.max_out_degree) / s.avg_out_degree
                           : 0.0;
-}
-
-void fold_dag_stats(const Csr& dag, GraphStats& s) {
-  const VertexId n = dag.num_vertices();
-  if (n == 0) return;
-  std::vector<EdgeIndex> out(n);
-  std::uint64_t sq = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    const EdgeIndex d = dag.degree(u);
-    out[u] = d;
-    sq += static_cast<std::uint64_t>(d) * d;
-  }
-  fold_dag_stats_from_histogram(n, dag.num_edges(), sq, histogram_of(out), s);
-}
-
-std::vector<std::uint64_t> degree_histogram(const Csr& g) {
-  EdgeIndex max_d = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) max_d = std::max(max_d, g.degree(v));
-  std::vector<std::uint64_t> hist(static_cast<std::size_t>(max_d) + 1, 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) hist[g.degree(v)]++;
-  return hist;
+  return s;
 }
 
 }  // namespace tcgpu::graph

@@ -24,24 +24,24 @@ std::vector<AlgoModel> Selector::default_models() {
   // single kernel).
   std::vector<AlgoModel> models = {
       {"Green", W::kMerge, /*launches=*/1, /*alpha=*/0.725, /*beta=*/0.1,
-       /*hash_load=*/0.0, /*calibration=*/184.70, /*fragile=*/false},
-      {"Polak", W::kMerge, 1, 0.800, 0.5, 0.0, 17.88, false},
-      {"Bisson", W::kBitmap, 1, 0.650, 0.6, 0.0, 230.41, false},
-      {"TriCore", W::kBinarySearch, 1, 0.475, 0.0, 0.0, 6658.1, false},
-      {"Fox", W::kBinarySearch, 4, 0.675, 0.4, 0.0, 108.65, false},
-      {"Hu", W::kBinarySearch, 1, 0.400, -0.3, 0.0, 41483.5, false},
-      {"H-INDEX", W::kHash, 1, 0.800, 0.1, 0.0, 168.80, /*fragile=*/true},
-      {"TRUST", W::kHash, 1, 0.500, 0.1, 24.0, 3082.7, false},
-      {"GroupTC", W::kBinarySearch, 1, 0.600, 0.4, 0.0, 359.01, false},
-      {"BSR", W::kBlockedBitmap, 1, 0.650, 0.1, 0.0, 361.81, false},
+       /*hash_load=*/0.0, /*calibration=*/184.70},
+      {"Polak", W::kMerge, 1, 0.800, 0.5, 0.0, 17.88},
+      {"Bisson", W::kBitmap, 1, 0.650, 0.6, 0.0, 230.41},
+      {"TriCore", W::kBinarySearch, 1, 0.475, 0.0, 0.0, 6658.1},
+      {"Fox", W::kBinarySearch, 4, 0.675, 0.4, 0.0, 108.65},
+      {"Hu", W::kBinarySearch, 1, 0.400, -0.3, 0.0, 41483.5},
+      {"H-INDEX", W::kHash, 1, 0.800, 0.1, 0.0, 168.80},
+      {"TRUST", W::kHash, 1, 0.500, 0.1, 24.0, 3082.7},
+      {"GroupTC", W::kBinarySearch, 1, 0.600, 0.4, 0.0, 359.01},
+      {"BSR", W::kBlockedBitmap, 1, 0.650, 0.1, 0.0, 361.81},
       // The compressed-CSR decoders are scored on latency alone, like every
       // other row: the model takes no resident-bytes or device-budget input,
       // and no serving layer routes on budget. Their calibrations sit 16x
       // and 18x above what bench/selector_fit fits (18.3 and 22.3), so the
       // selector never picks them, even on graphs where they measure
       // fastest. The pinned picks depend on these values.
-      {"CMerge", W::kCompressedMerge, 1, 0.800, 0.8, 0.0, 290.0, false},
-      {"CStage", W::kCompressedStage, 1, 0.800, 0.3, 0.0, 410.0, false},
+      {"CMerge", W::kCompressedMerge, 1, 0.800, 0.8, 0.0, 290.0},
+      {"CStage", W::kCompressedStage, 1, 0.800, 0.3, 0.0, 410.0},
   };
   return models;
 }
@@ -128,24 +128,20 @@ CostBreakdown Selector::cost(const AlgoModel& m,
   return out;
 }
 
-std::vector<Candidate> Selector::score(const graph::GraphStats& stats,
-                                       Hint hint) const {
+std::vector<Candidate> Selector::score(const graph::GraphStats& stats) const {
   std::vector<Candidate> out;
   out.reserve(models_.size());
-  for (const auto& m : models_) {
-    if (hint == Hint::kAccuracy && m.fragile) continue;
-    out.push_back({m.name, cost(m, stats)});
-  }
+  for (const auto& m : models_) out.push_back({m.name, cost(m, stats)});
   std::stable_sort(out.begin(), out.end(), [](const Candidate& a, const Candidate& b) {
     return a.cost.modeled_ms < b.cost.modeled_ms;
   });
   return out;
 }
 
-Candidate Selector::choose(const graph::GraphStats& stats, Hint hint) const {
-  auto ranked = score(stats, hint);
+Candidate Selector::choose(const graph::GraphStats& stats) const {
+  auto ranked = score(stats);
   if (ranked.empty()) {
-    throw std::logic_error("Selector::choose: no algorithm admissible");
+    throw std::logic_error("Selector::choose: no algorithm registered");
   }
   return std::move(ranked.front());
 }

@@ -35,8 +35,8 @@
 // fit against the simulator's measured kernel times over the pinned
 // 19-dataset suite at the default edge cap (bench/selector_fit reports the
 // residuals and regenerates the calibration column). Scoring is a pure
-// function of (GraphStats, hint): no measured run feeds back into it, so a
-// graph's pick never depends on which queries came before it.
+// function of GraphStats: no measured run feeds back into it, so a graph's
+// pick never depends on which queries came before it.
 //
 // Only count queries are scored. A mutation batch of any size commits
 // through stream::DynamicGraph's one delta path, so there is nothing to
@@ -51,11 +51,6 @@
 #include "simt/gpu_spec.hpp"
 
 namespace tcgpu::serve {
-
-/// Query-time preference. kAccuracy excludes algorithms with known failure
-/// modes (the paper reports H-INDEX mis-counting on large high-degree
-/// graphs); kAuto scores the full registry.
-enum class Hint { kAuto, kAccuracy };
 
 /// The paper's three factors, as modeled for one (algorithm, graph) pair.
 struct CostBreakdown {
@@ -116,7 +111,6 @@ struct AlgoModel {
   /// mem = 1 + avg_out_degree / hash_load. 0 disables the term.
   double hash_load = 0.0;
   double calibration = 1.0;    ///< fit: measured vs shaped model (v100 suite)
-  bool fragile = false;        ///< excluded under Hint::kAccuracy
 };
 
 class Selector {
@@ -128,12 +122,11 @@ class Selector {
 
   /// Scores every registered algorithm for this graph, ascending by
   /// modeled_ms (front = the choice). Never empty for a non-empty universe.
-  std::vector<Candidate> score(const graph::GraphStats& stats,
-                               Hint hint = Hint::kAuto) const;
+  std::vector<Candidate> score(const graph::GraphStats& stats) const;
 
-  /// The front door: argmin of score(). Throws std::logic_error when the
-  /// hint filters out every registered algorithm.
-  Candidate choose(const graph::GraphStats& stats, Hint hint = Hint::kAuto) const;
+  /// The front door: argmin of score(). Throws std::logic_error when no
+  /// algorithm is registered.
+  Candidate choose(const graph::GraphStats& stats) const;
 
   /// Models running `algorithm` split across `devices` even shards on a
   /// hosts x devices-per-host cluster, starting from its single-device

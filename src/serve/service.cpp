@@ -473,14 +473,13 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     }
 
     // Selection: caller override wins; otherwise the cost model's a-priori
-    // choice for this graph version and hint. A forced pool kernel is still
-    // priced (GroupTC-H, outside the pool, keeps a zero cost): the fleet
-    // latches the graph version's placement from this cost.
+    // choice for this graph version. A forced pool kernel still reports its
+    // model score (GroupTC-H, outside the pool, keeps a zero cost).
     std::string algo = p->req.algorithm;
     if (algo.empty()) {
       reply.selected = true;
       try {
-        Candidate c = selector_.choose(graph->stats, p->req.hint);
+        Candidate c = selector_.choose(graph->stats);
         algo = std::move(c.algorithm);
         reply.modeled = c.cost;
       } catch (const std::exception& e) {
@@ -506,7 +505,7 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
     try {
       const fleet::ExecutionOutcome out = fleet_.execute(
           {.key = p->fleet_key, .version = graph_version, .algorithm = algo,
-           .modeled = reply.modeled, .graph = graph});
+           .graph = graph});
       p->trace.run_done = now();
       reply.triangles = out.run.result.triangles;
       reply.valid = out.run.valid;

@@ -29,10 +29,9 @@
 // re-prepared from scratch).
 //
 // Determinism contract: for a fixed workload set, selector decisions and
-// counts are reproducible. Each query's pick is Selector::choose(stats,
-// hint) on the graph version it reads — a pure function of the graph and
-// the hint, so it depends on neither the queries before it nor which
-// worker finished first.
+// counts are reproducible. Each query's pick is Selector::choose(stats) on
+// the graph version it reads — a pure function of the graph, so it depends
+// on neither the queries before it nor which worker finished first.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +74,6 @@ struct QueryRequest {
 
   /// Force a specific kernel by registry name; empty = selector decides.
   std::string algorithm;
-  Hint hint = Hint::kAuto;
   /// Drop the query (kDeadlineExpired) if the kernel has not started this
   /// many ms after submission; 0 = no deadline.
   double deadline_ms = 0.0;

@@ -7,6 +7,7 @@
 
 #include "graph/cpu_reference.hpp"
 #include "graph/prepare.hpp"
+#include "graph/stats.hpp"
 #include "stream/delta_kernel.hpp"
 
 namespace tcgpu::stream {
@@ -41,39 +42,11 @@ std::shared_ptr<const Snapshot::Segment> build_segment(std::size_t s,
   return seg;
 }
 
-graph::EdgeIndex hist_max(const std::vector<std::uint64_t>& h) {
-  for (std::size_t d = h.size(); d-- > 0;) {
-    if (h[d] != 0) return static_cast<graph::EdgeIndex>(d);
-  }
-  return 0;
-}
-
-/// Value at `idx` of the (conceptual) ascending sorted degree array —
-/// matches graph::compute_stats' percentile definitions exactly.
-graph::EdgeIndex hist_quantile(const std::vector<std::uint64_t>& h,
-                               std::size_t idx) {
-  std::uint64_t cum = 0;
-  for (std::size_t d = 0; d < h.size(); ++d) {
-    cum += h[d];
-    if (cum > idx) return static_cast<graph::EdgeIndex>(d);
-  }
-  return hist_max(h);
-}
-
 void hist_move(std::vector<std::uint64_t>& h, graph::EdgeIndex from,
                graph::EdgeIndex to) {
   if (to >= h.size()) h.resize(to + 1, 0);
   --h[from];
   ++h[to];
-}
-
-std::vector<std::uint64_t> hist_of(const std::vector<graph::EdgeIndex>& deg) {
-  std::vector<std::uint64_t> h(1, 0);
-  for (const graph::EdgeIndex d : deg) {
-    if (d >= h.size()) h.resize(d + 1, 0);
-    ++h[d];
-  }
-  return h;
 }
 
 }  // namespace
@@ -109,10 +82,9 @@ DynamicGraph::DynamicGraph(const graph::Csr& dag, Config cfg)
   for (graph::VertexId v = 0; v < V; ++v) {
     out_degree_[v] = dag.degree(v);
     degree_[v] = undirected.degree(v);
-    sum_out_sq_ += static_cast<std::uint64_t>(out_degree_[v]) * out_degree_[v];
   }
-  deg_hist_ = hist_of(degree_);
-  out_hist_ = hist_of(out_degree_);
+  deg_hist_ = graph::histogram_of(degree_);
+  out_hist_ = graph::histogram_of(out_degree_);
   num_edges_ = dag.num_edges();
 
   snap->stats_ = make_stats();
@@ -120,31 +92,8 @@ DynamicGraph::DynamicGraph(const graph::Csr& dag, Config cfg)
 }
 
 graph::GraphStats DynamicGraph::make_stats() const {
-  graph::GraphStats s;
-  const auto V = static_cast<graph::VertexId>(degree_.size());
-  s.num_vertices = V;
-  s.num_undirected_edges = num_edges_;
-  if (V == 0) return s;
-  // Field definitions mirror graph::compute_stats / fold_dag_stats exactly,
-  // so a snapshot's stats hash (serve's graph identity) agrees with what a
-  // fresh prepare of the same graph would produce.
-  const auto p99_idx =
-      static_cast<std::size_t>(static_cast<double>(V - 1) * 0.99);
-  s.max_degree = hist_max(deg_hist_);
-  s.median_degree = hist_quantile(deg_hist_, V / 2);
-  s.p99_degree = hist_quantile(deg_hist_, p99_idx);
-  s.avg_degree =
-      static_cast<double>(2 * num_edges_) / static_cast<double>(V);
-  s.max_out_degree = hist_max(out_hist_);
-  s.p99_out_degree = hist_quantile(out_hist_, p99_idx);
-  s.avg_out_degree =
-      static_cast<double>(num_edges_) / static_cast<double>(V);
-  s.sum_out_degree_sq = sum_out_sq_;
-  s.out_degree_skew =
-      s.avg_out_degree > 0.0
-          ? static_cast<double>(s.max_out_degree) / s.avg_out_degree
-          : 0.0;
-  return s;
+  return graph::stats_from_histograms(static_cast<graph::VertexId>(degree_.size()),
+                                      num_edges_, deg_hist_, out_hist_);
 }
 
 CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops) {
@@ -232,7 +181,6 @@ CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops) {
       ++degree_[a];
       ++degree_[b];
       hist_move(out_hist_, oa, oa + 1);  // the out-edge lives with min id
-      sum_out_sq_ += 2ull * oa + 1;
       ++out_degree_[a];
       ++num_edges_;
       ++res.inserted;
@@ -244,7 +192,6 @@ CommitResult DynamicGraph::commit(std::span<const EdgeOp> ops) {
       --degree_[a];
       --degree_[b];
       hist_move(out_hist_, oa, oa - 1);
-      sum_out_sq_ -= 2ull * oa - 1;
       --out_degree_[a];
       --num_edges_;
       ++res.removed;

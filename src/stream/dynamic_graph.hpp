@@ -10,8 +10,9 @@
 //     ±|N(u) ∩ N(v)| over the neighborhoods at that point of the batch;
 //     the intersections run on the simulated GPU (delta_kernel.hpp),
 //     metered through the tc/intersect/ policy machinery;
-//   * GraphStats — degree/out-degree histograms are maintained per op, so
-//     every snapshot carries the same stats a fresh prepare would compute
+//   * GraphStats — degree/out-degree histograms are maintained per op and
+//     go through the same graph::stats_from_histograms a fresh prepare
+//     calls, so every snapshot carries the stats of its own DAG
 //     (serve::Selector re-scores mutated graphs from them).
 //
 // Every commit publishes a new immutable Snapshot that rebuilds only the
@@ -102,7 +103,6 @@ class DynamicGraph {
   std::vector<graph::EdgeIndex> out_degree_;
   std::vector<std::uint64_t> deg_hist_;
   std::vector<std::uint64_t> out_hist_;
-  std::uint64_t sum_out_sq_ = 0;
   std::uint64_t num_edges_ = 0;
 };
 

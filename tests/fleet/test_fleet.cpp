@@ -129,10 +129,8 @@ TEST(FleetPlacement, ShardedRunCountsExactly) {
 }
 
 TEST(FleetPlacement, ForcedKernelQueriesDoNotUnpricePlacement) {
-  // A graph version's placement latches from its first query's modeled
-  // cost. An unknown kernel name must be rejected before the fleet, and a
-  // forced pool kernel must carry its model score, or every later auto
-  // query of that version inherits a placement priced at zero.
+  // An unknown kernel name must be rejected before the fleet and leave no
+  // placement behind, and a forced pool kernel reports its model score.
   framework::Engine engine(small_engine());
   Fleet::Config fc;
   fc.devices = 4;
@@ -164,6 +162,33 @@ TEST(FleetPlacement, ForcedKernelQueriesDoNotUnpricePlacement) {
   const auto after_forced = service.submit(dataset_query("Email-EuAll")).get();
   ASSERT_EQ(after_forced.status, serve::QueryStatus::kOk);
   EXPECT_TRUE(after_forced.sharded) << after_forced.placement;
+}
+
+TEST(FleetPlacement, ForcedUnpricedKernelDoesNotSetThePlacement) {
+  // GroupTC-H is outside the selector's pool, so it has no model score. A
+  // placement is priced from the selector's pick for the graph version,
+  // whichever kernel comes first: the forced query and the auto query
+  // after it both run on the placement an auto query alone would get.
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  fc.devices = 4;
+  fc.shard_min_kernel_ms = 0.0;
+  fc.min_speedup = 1.0;
+  fc.interconnect = free_link();
+  Fleet fleet(engine, fc);
+  serve::QueryService service(engine, fleet, serve::QueryService::Config{});
+
+  auto hashed = dataset_query("Email-EuAll");
+  hashed.algorithm = "GroupTC-H";
+  const auto forced = service.submit(std::move(hashed)).get();
+  ASSERT_EQ(forced.status, serve::QueryStatus::kOk);
+  EXPECT_EQ(forced.modeled.modeled_ms, 0.0);
+  EXPECT_EQ(forced.placement, "shard4:range");
+  const auto after = service.submit(dataset_query("Email-EuAll")).get();
+  ASSERT_EQ(after.status, serve::QueryStatus::kOk);
+  EXPECT_EQ(after.algorithm, "Polak");
+  EXPECT_EQ(after.placement, "shard4:range");
+  EXPECT_TRUE(after.valid);
 }
 
 TEST(FleetPlacement, TinyKernelsStaySingle) {

@@ -34,7 +34,7 @@ TEST(EngineCache, PrepareRunsPipelineOncePerKey) {
 }
 
 TEST(EngineCache, KeyIsSensitiveToEveryField) {
-  const PrepareKey base{"As-Caida", 2'000, 42, graph::OrientationPolicy::kByDegree};
+  const PrepareKey base{"As-Caida", 2'000, 42};
   PrepareKey k = base;
   EXPECT_EQ(k, base);
   k.dataset = "Wiki-Talk";
@@ -44,9 +44,6 @@ TEST(EngineCache, KeyIsSensitiveToEveryField) {
   EXPECT_NE(k, base);
   k = base;
   k.seed = 43;
-  EXPECT_NE(k, base);
-  k = base;
-  k.policy = graph::OrientationPolicy::kById;
   EXPECT_NE(k, base);
 }
 

@@ -11,9 +11,8 @@
 namespace tcgpu::gen {
 namespace {
 
-using graph::build_undirected_csr;
 using graph::clean_edges;
-using graph::compute_stats;
+using graph::prepare_dag;
 
 TEST(Er, ProducesExactlyRequestedDistinctEdges) {
   const auto g = generate_er(1000, 5000, 1);
@@ -57,8 +56,7 @@ TEST(Rmat, SkewedParametersProduceSkewedDegrees) {
   RmatParams p;
   p.scale = 12;
   p.edges = 30000;
-  const auto stats =
-      compute_stats(build_undirected_csr(clean_edges(generate_rmat(p, 4))));
+  const auto stats = prepare_dag(generate_rmat(p, 4)).stats;
   // A power-law graph's max degree dwarfs its average.
   EXPECT_GT(stats.max_degree, stats.avg_degree * 10);
 }
@@ -73,7 +71,7 @@ TEST(Rmat, FoldPinsVertexCount) {
     EXPECT_LT(u, 3000u);
     EXPECT_LT(v, 3000u);
   }
-  const auto stats = compute_stats(build_undirected_csr(clean_edges(g)));
+  const auto stats = prepare_dag(graph::Coo(g)).stats;
   // Heavy skew still leaves a small share of folded ids untouched; the point
   // is that V lands near the target instead of at the 2^scale id-space size.
   EXPECT_NEAR(static_cast<double>(stats.num_vertices), 3000.0, 450.0);
@@ -102,18 +100,15 @@ TEST(ChungLu, SteeperExponentMeansMilderTail) {
   mild.exponent = 2.2;
   ChungLuParams steep = mild;
   steep.exponent = 3.5;
-  const auto s_mild =
-      compute_stats(build_undirected_csr(clean_edges(generate_chung_lu(mild, 5))));
-  const auto s_steep =
-      compute_stats(build_undirected_csr(clean_edges(generate_chung_lu(steep, 5))));
+  const auto s_mild = prepare_dag(generate_chung_lu(mild, 5)).stats;
+  const auto s_steep = prepare_dag(generate_chung_lu(steep, 5)).stats;
   EXPECT_GT(s_mild.max_degree, s_steep.max_degree);
 }
 
 TEST(Road, AvgDegreeNearLatticeTarget) {
   RoadParams p;
   p.vertices = 10000;
-  const auto stats =
-      compute_stats(build_undirected_csr(clean_edges(generate_road(p, 6))));
+  const auto stats = prepare_dag(generate_road(p, 6)).stats;
   EXPECT_GT(stats.avg_degree, 2.0);
   EXPECT_LT(stats.avg_degree, 4.5);
   EXPECT_LE(stats.max_degree, 8u);  // lattices have no hubs
@@ -123,8 +118,7 @@ TEST(StarBurst, ProducesHubs) {
   StarBurstParams p;
   p.vertices = 20000;
   p.edges = 80000;
-  const auto stats =
-      compute_stats(build_undirected_csr(clean_edges(generate_star_burst(p, 7))));
+  const auto stats = prepare_dag(generate_star_burst(p, 7)).stats;
   EXPECT_GT(stats.max_degree, 1000u);   // hub
   EXPECT_LE(stats.median_degree, 6u);   // most vertices are leaves
 }

@@ -50,8 +50,7 @@ TEST(PaperDatasets, GenerationRespectsEdgeCap) {
 
 TEST(PaperDatasets, UncappedSmallDatasetMatchesTableTwo) {
   const auto& caida = dataset_by_name("As-Caida");
-  const auto stats = graph::compute_stats(
-      graph::build_undirected_csr(graph::clean_edges(generate_dataset(caida, 0, 1))));
+  const auto stats = graph::prepare_dag(generate_dataset(caida, 0, 1)).stats;
   EXPECT_NEAR(static_cast<double>(stats.num_undirected_edges), 43'000.0, 4300.0);
   EXPECT_NEAR(static_cast<double>(stats.num_vertices), 16'000.0, 4000.0);
   EXPECT_NEAR(stats.avg_degree, 5.2, 1.5);
@@ -73,10 +72,10 @@ TEST(PaperDatasets, GenerationIsSeedDeterministic) {
 TEST(PaperDatasets, DegreeOrderingSurvivesTheCap) {
   // The x-axis story of Figures 11-15: low-degree road vs high-degree
   // social keeps its ordering under a uniform cap.
-  const auto road = graph::compute_stats(graph::build_undirected_csr(
-      graph::clean_edges(generate_dataset(dataset_by_name("RoadNet-CA"), 60'000, 1))));
-  const auto orkut = graph::compute_stats(graph::build_undirected_csr(
-      graph::clean_edges(generate_dataset(dataset_by_name("Com-Orkut"), 60'000, 1))));
+  const auto road =
+      graph::prepare_dag(generate_dataset(dataset_by_name("RoadNet-CA"), 60'000, 1)).stats;
+  const auto orkut =
+      graph::prepare_dag(generate_dataset(dataset_by_name("Com-Orkut"), 60'000, 1)).stats;
   EXPECT_LT(road.avg_degree, 4.0);
   EXPECT_GT(orkut.avg_degree, 20.0);
 }

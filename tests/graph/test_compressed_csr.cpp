@@ -7,7 +7,6 @@
 
 #include "gen/er.hpp"
 #include "graph/csr.hpp"
-#include "graph/orientation.hpp"
 #include "graph/prepare.hpp"
 
 namespace tcgpu::graph {
@@ -75,8 +74,7 @@ TEST(CompressedCsr, RejectsUnsortedAndDuplicateRows) {
 
 TEST(CompressedCsr, RoundTripsAPreparedDag) {
   Coo raw = gen::generate_er(500, 4'000, 21);
-  const PreparedDag prepared =
-      prepare_dag(std::move(raw), OrientationPolicy::kByDegree);
+  const PreparedDag prepared = prepare_dag(std::move(raw));
   EXPECT_EQ(CompressedCsr::compress(prepared.dag).decompress(), prepared.dag);
 }
 

@@ -4,15 +4,13 @@
 
 #include "gen/er.hpp"
 #include "gen/rmat.hpp"
-#include "graph/orientation.hpp"
 #include "graph/prepare.hpp"
 
 namespace tcgpu::graph {
 namespace {
 
 std::uint64_t forward_count_of(const Coo& raw) {
-  const Csr und = build_undirected_csr(clean_edges(raw));
-  return count_triangles_forward(orient(und, OrientationPolicy::kByDegree).dag);
+  return count_triangles_forward(prepare_dag(Coo(raw)).dag);
 }
 
 Coo complete_graph(VertexId n) {
@@ -72,8 +70,7 @@ TEST(CpuReference, TwoMethodsAgreeOnRandomGraphs) {
     gen::RmatParams p;
     p.scale = 11;
     p.edges = 8000;
-    const Csr und = build_undirected_csr(clean_edges(gen::generate_rmat(p, seed)));
-    const auto dag = orient(und, OrientationPolicy::kByDegree).dag;
+    const Csr dag = prepare_dag(gen::generate_rmat(p, seed)).dag;
     EXPECT_EQ(count_triangles_forward(dag), count_triangles_stamped(dag))
         << "seed " << seed;
   }
@@ -115,6 +112,18 @@ TEST(CpuReference, AddingEdgeAddsItsIntersectionSize) {
     }
   }
   FAIL() << "no candidate non-edge found";
+}
+
+TEST(ParallelForward, AgreesWithSerialReference) {
+  gen::RmatParams p;
+  p.scale = 11;
+  p.edges = 12000;
+  const Csr dag = prepare_dag(gen::generate_rmat(p, 21)).dag;
+  EXPECT_EQ(count_triangles_forward_parallel(dag), count_triangles_forward(dag));
+}
+
+TEST(ParallelForward, EmptyGraph) {
+  EXPECT_EQ(count_triangles_forward_parallel(Csr{}), 0u);
 }
 
 }  // namespace

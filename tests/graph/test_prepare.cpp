@@ -1,7 +1,7 @@
 // Equivalence gates for the parallel prepare pipeline (graph/prepare.hpp):
-// every stage against an independent std::set / vector-of-vectors oracle,
-// under varying OMP thread counts and all four orientation policies. These
-// are the invariants the fig11/12/13 byte-identity guarantee rests on.
+// every stage against an independent std::set / vector-of-vectors /
+// std::stable_sort oracle, under varying OMP thread counts. These are the
+// invariants the fig11/12/13 byte-identity guarantee rests on.
 #include "graph/prepare.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,8 @@
 
 #include "gen/er.hpp"
 #include "gen/rmat.hpp"
-#include "graph/orientation.hpp"
+#include "graph/cpu_reference.hpp"
+#include "support/graph_oracle.hpp"
 
 namespace tcgpu::graph {
 namespace {
@@ -54,35 +55,6 @@ Csr oracle_undirected_csr(const Coo& clean) {
   return Csr(std::move(row_ptr), std::move(col));
 }
 
-/// The legacy composition the fused pipeline replaced, built from oracle
-/// parts plus the unchanged orient/stats modules.
-PreparedDag oracle_prepare(const Coo& raw, OrientationPolicy policy,
-                           std::uint64_t seed = 0) {
-  const Coo clean = oracle_clean(raw);
-  const Csr undirected = oracle_undirected_csr(clean);
-  PreparedDag out;
-  out.stats = compute_stats(undirected);
-  auto oriented = orient(undirected, policy, seed);
-  out.dag = std::move(oriented.dag);
-  out.new_to_old = std::move(oriented.new_to_old);
-  fold_dag_stats(out.dag, out.stats);
-  return out;
-}
-
-void expect_stats_eq(const GraphStats& got, const GraphStats& want) {
-  EXPECT_EQ(got.num_vertices, want.num_vertices);
-  EXPECT_EQ(got.num_undirected_edges, want.num_undirected_edges);
-  EXPECT_EQ(got.avg_degree, want.avg_degree);
-  EXPECT_EQ(got.max_degree, want.max_degree);
-  EXPECT_EQ(got.median_degree, want.median_degree);
-  EXPECT_EQ(got.p99_degree, want.p99_degree);
-  EXPECT_EQ(got.max_out_degree, want.max_out_degree);
-  EXPECT_EQ(got.p99_out_degree, want.p99_out_degree);
-  EXPECT_EQ(got.avg_out_degree, want.avg_out_degree);
-  EXPECT_EQ(got.sum_out_degree_sq, want.sum_out_degree_sq);
-  EXPECT_EQ(got.out_degree_skew, want.out_degree_skew);
-}
-
 /// Messy raw inputs: self-loops, duplicates, reversals, isolated vertices.
 std::vector<Coo> messy_graphs() {
   std::vector<Coo> graphs;
@@ -118,18 +90,14 @@ TEST(PreparePipeline, UndirectedCsrMatchesOracle) {
   }
 }
 
-TEST(PreparePipeline, PrepareDagMatchesLegacyCompositionAllPolicies) {
-  for (const auto policy :
-       {OrientationPolicy::kByDegree, OrientationPolicy::kById,
-        OrientationPolicy::kByCore, OrientationPolicy::kRandom}) {
-    for (const Coo& raw : messy_graphs()) {
-      Coo copy = raw;
-      const PreparedDag got = prepare_dag(std::move(copy), policy, 5);
-      const PreparedDag want = oracle_prepare(raw, policy, 5);
-      EXPECT_EQ(got.dag, want.dag);
-      EXPECT_EQ(got.new_to_old, want.new_to_old);
-      expect_stats_eq(got.stats, want.stats);
-    }
+TEST(PreparePipeline, PrepareDagMatchesSortOracle) {
+  for (const Coo& raw : messy_graphs()) {
+    Coo copy = raw;
+    const PreparedDag got = prepare_dag(std::move(copy));
+    const Coo clean = oracle_clean(raw);
+    const Csr want = oracle::degree_oriented_dag(clean.num_vertices, clean.edges);
+    EXPECT_EQ(got.dag, want);
+    oracle::expect_stats_eq(got.stats, oracle::stats_of_dag(want));
   }
 }
 
@@ -143,13 +111,12 @@ TEST(PreparePipeline, OutputIsThreadCountInvariant) {
   for (const int threads : {1, 2, 4}) {
     omp_set_num_threads(threads);
     Coo copy = raw;
-    runs.push_back(prepare_dag(std::move(copy), OrientationPolicy::kByDegree));
+    runs.push_back(prepare_dag(std::move(copy)));
   }
   omp_set_num_threads(saved);
   for (std::size_t i = 1; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].dag, runs[0].dag);
-    EXPECT_EQ(runs[i].new_to_old, runs[0].new_to_old);
-    expect_stats_eq(runs[i].stats, runs[0].stats);
+    oracle::expect_stats_eq(runs[i].stats, runs[0].stats);
   }
 }
 
@@ -160,11 +127,55 @@ TEST(PreparePipeline, RejectsOutOfRangeIds) {
   EXPECT_THROW(clean_edges(std::move(raw)), std::invalid_argument);
 }
 
+Coo sample_rmat() {
+  gen::RmatParams p;
+  p.scale = 10;
+  p.edges = 4000;
+  return gen::generate_rmat(p, 99);
+}
+
+TEST(Orientation, EveryEdgePointsLowToHigh) {
+  const Csr dag = prepare_dag(sample_rmat()).dag;
+  for (VertexId u = 0; u < dag.num_vertices(); ++u) {
+    for (const VertexId v : dag.neighbors(u)) EXPECT_LT(u, v);
+  }
+}
+
+TEST(Orientation, KeepsExactlyHalfTheDirectedEdges) {
+  const Csr und = build_undirected_csr(clean_edges(sample_rmat()));
+  const Csr dag = prepare_dag(sample_rmat()).dag;
+  EXPECT_EQ(dag.num_edges(), und.num_edges() / 2);
+  EXPECT_EQ(dag.num_vertices(), und.num_vertices());
+}
+
+TEST(Orientation, TriangleCountIsOrientationInvariant) {
+  // Cleaned edges are (min, max) pairs, so they already form the
+  // id-oriented DAG.
+  const Coo clean = clean_edges(sample_rmat());
+  const Csr by_id = build_directed_csr(clean.num_vertices, clean.edges);
+  EXPECT_EQ(count_triangles_forward(prepare_dag(sample_rmat()).dag),
+            count_triangles_forward(by_id));
+}
+
+TEST(Orientation, ByDegreeBoundsOutDegreeOnStars) {
+  // Star K_{1,100}: center degree 100, leaves degree 1. Degree orientation
+  // points every edge leaf -> center, so max out-degree is 1.
+  Coo star;
+  star.num_vertices = 101;
+  for (VertexId leaf = 1; leaf <= 100; ++leaf) star.edges.push_back({0, leaf});
+  const PreparedDag prepared = prepare_dag(std::move(star));
+  EdgeIndex max_out = 0;
+  for (VertexId u = 0; u < prepared.dag.num_vertices(); ++u) {
+    max_out = std::max(max_out, prepared.dag.degree(u));
+  }
+  EXPECT_EQ(max_out, 1u);
+  EXPECT_EQ(prepared.stats.max_out_degree, 1u);
+}
+
 TEST(SymmetrizeDag, RebuildsTheUndirectedAdjacency) {
   const Coo raw = gen::generate_er(250, 1'500, 9);
   Coo copy = raw;
-  const PreparedDag prepared =
-      prepare_dag(std::move(copy), OrientationPolicy::kByDegree);
+  const PreparedDag prepared = prepare_dag(std::move(copy));
   const Csr sym = symmetrize_dag(prepared.dag);
 
   // The DAG is id-oriented after relabeling, so symmetrizing it must equal

@@ -67,22 +67,13 @@ TEST(SelectorChoose, ReturnsArgminOfScore) {
   EXPECT_DOUBLE_EQ(pick.cost.modeled_ms, ranked.front().cost.modeled_ms);
 }
 
-TEST(SelectorHints, AccuracyExcludesFragileAlgorithms) {
-  Selector sel;
-  for (const auto& c : sel.score(large_stats(), Hint::kAccuracy)) {
-    EXPECT_NE(c.algorithm, "H-INDEX");  // the paper's mis-counting kernel
-  }
-  // kAuto scores the full registry.
-  EXPECT_EQ(sel.score(large_stats(), Hint::kAuto).size(), sel.models().size());
-}
-
-TEST(SelectorChoose, ThrowsWhenHintFiltersEverything) {
-  std::vector<AlgoModel> only_fragile = {
-      {"H-INDEX", AlgoModel::Work::kHash, 1, 0.8, 0.1, 0.0, 1.0,
-       /*fragile=*/true}};
-  Selector sel(only_fragile, simt::GpuSpec::v100());
-  EXPECT_NO_THROW(sel.choose(small_stats(), Hint::kAuto));
-  EXPECT_THROW(sel.choose(small_stats(), Hint::kAccuracy), std::logic_error);
+TEST(SelectorChoose, ThrowsOnAnEmptyModelList) {
+  const Selector empty(std::vector<AlgoModel>{}, simt::GpuSpec::v100());
+  EXPECT_TRUE(empty.score(small_stats()).empty());
+  EXPECT_THROW(empty.choose(small_stats()), std::logic_error);
+  const Selector one({{"H-INDEX", AlgoModel::Work::kHash, 1, 0.8, 0.1, 0.0, 1.0}},
+                     simt::GpuSpec::v100());
+  EXPECT_EQ(one.choose(small_stats()).algorithm, "H-INDEX");
 }
 
 TEST(SelectorModel, GroupTcTrustCrossover) {

@@ -10,25 +10,10 @@
 #include "graph/prepare.hpp"
 #include "graph/stats.hpp"
 #include "stream/churn.hpp"
+#include "support/graph_oracle.hpp"
 
 namespace tcgpu::stream {
 namespace {
-
-/// Every field, exactly — snapshots must carry the same stats a fresh
-/// prepare would compute (the selector re-scores mutated graphs from them).
-void expect_stats_eq(const graph::GraphStats& got, const graph::GraphStats& want) {
-  EXPECT_EQ(got.num_vertices, want.num_vertices);
-  EXPECT_EQ(got.num_undirected_edges, want.num_undirected_edges);
-  EXPECT_EQ(got.avg_degree, want.avg_degree);
-  EXPECT_EQ(got.max_degree, want.max_degree);
-  EXPECT_EQ(got.median_degree, want.median_degree);
-  EXPECT_EQ(got.p99_degree, want.p99_degree);
-  EXPECT_EQ(got.max_out_degree, want.max_out_degree);
-  EXPECT_EQ(got.p99_out_degree, want.p99_out_degree);
-  EXPECT_EQ(got.avg_out_degree, want.avg_out_degree);
-  EXPECT_EQ(got.sum_out_degree_sq, want.sum_out_degree_sq);
-  EXPECT_EQ(got.out_degree_skew, want.out_degree_skew);
-}
 
 /// Path 0-1-2 as an id-oriented DAG: one wedge, no triangle.
 graph::Csr path_dag() {
@@ -50,7 +35,11 @@ TEST(DynamicGraphSeed, MatchesPreparedGraphExactly) {
   const auto snap = dyn.snapshot();
   EXPECT_EQ(snap->num_edges(), pg.dag.num_edges());
   EXPECT_EQ(snap->num_vertices(), pg.dag.num_vertices());
-  expect_stats_eq(snap->stats(), pg.stats);
+  // Snapshots must carry the same stats a fresh prepare computes (the
+  // selector re-scores mutated graphs from them), and both must match the
+  // sort-then-index oracle.
+  oracle::expect_stats_eq(snap->stats(), oracle::stats_of_dag(pg.dag));
+  oracle::expect_stats_eq(pg.stats, oracle::stats_of_dag(pg.dag));
   // Round trip: the materialized DAG is the seed DAG.
   EXPECT_EQ(snap->materialize_dag(), pg.dag);
 }
@@ -212,16 +201,8 @@ TEST(DynamicGraphStats, MatchFreshComputeAfterChurn) {
     dyn.commit(churn.next_batch(*dyn.snapshot(), 48));
   }
   const auto snap = dyn.snapshot();
-  const auto dag = snap->materialize_dag();
-
-  graph::Coo coo;
-  coo.num_vertices = dag.num_vertices();
-  for (graph::VertexId u = 0; u < dag.num_vertices(); ++u) {
-    for (const auto v : dag.neighbors(u)) coo.edges.emplace_back(u, v);
-  }
-  auto fresh = graph::compute_stats(graph::build_undirected_csr(coo));
-  graph::fold_dag_stats(dag, fresh);
-  expect_stats_eq(snap->stats(), fresh);
+  oracle::expect_stats_eq(snap->stats(),
+                          oracle::stats_of_dag(snap->materialize_dag()));
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
+#include <utility>
 
 #include "framework/registry.hpp"
 #include "framework/runner.hpp"
 #include "gen/rmat.hpp"
+#include "graph/prepare.hpp"
 
 namespace tcgpu::tc {
 namespace {
@@ -43,20 +46,29 @@ TEST_P(EveryAlgorithm, CountIsInvariantUnderVertexRelabeling) {
 }
 
 TEST_P(EveryAlgorithm, CountIsInvariantUnderOrientationPolicy) {
-  const graph::Coo coo = base_graph();
-  const auto algo = framework::make_algorithm(GetParam());
-  std::uint64_t counts[3];
-  int i = 0;
-  for (const auto policy :
-       {graph::OrientationPolicy::kByDegree, graph::OrientationPolicy::kById,
-        graph::OrientationPolicy::kRandom}) {
-    const auto pg = framework::prepare_graph("g", coo, policy);
-    const auto out = framework::run_algorithm(*algo, pg, simt::GpuSpec::v100());
-    EXPECT_TRUE(out.valid) << to_string(policy);
-    counts[i++] = out.result.triangles;
+  // Kernels must count any u < v DAG, not only a degree-ordered one: a
+  // streamed snapshot hands them an id-oriented DAG once it mutates.
+  const framework::PreparedGraph by_degree =
+      framework::prepare_graph("g", base_graph());
+  const graph::Coo clean = graph::clean_edges(base_graph());
+  std::vector<graph::VertexId> perm(clean.num_vertices);
+  std::iota(perm.begin(), perm.end(), graph::VertexId{0});
+  std::shuffle(perm.begin(), perm.end(), std::mt19937_64(5));
+  std::vector<graph::Edge> shuffled;
+  for (const auto& [u, v] : clean.edges) {
+    shuffled.emplace_back(std::min(perm[u], perm[v]), std::max(perm[u], perm[v]));
   }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0], counts[2]);
+
+  const auto algo = framework::make_algorithm(GetParam());
+  for (const auto& [label, dag] :
+       {std::pair{"degree", by_degree.dag},
+        std::pair{"id", graph::build_directed_csr(clean.num_vertices, clean.edges)},
+        std::pair{"random", graph::build_directed_csr(clean.num_vertices, shuffled)}}) {
+    framework::PreparedGraph pg = by_degree;
+    pg.dag = dag;
+    const auto out = framework::run_algorithm(*algo, pg, simt::GpuSpec::v100());
+    EXPECT_EQ(out.result.triangles, by_degree.reference_triangles) << label;
+  }
 }
 
 TEST_P(EveryAlgorithm, RunsAreFullyDeterministic) {

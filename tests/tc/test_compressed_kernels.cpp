@@ -7,7 +7,6 @@
 #include "gen/er.hpp"
 #include "gen/rmat.hpp"
 #include "graph/cpu_reference.hpp"
-#include "graph/orientation.hpp"
 #include "graph/prepare.hpp"
 #include "tc/cmerge.hpp"
 #include "tc/cstage.hpp"
@@ -21,8 +20,7 @@ graph::Csr sample_dag(std::uint64_t seed, std::uint64_t edges = 4'000) {
   p.scale = 10;
   p.edges = edges;
   graph::Coo raw = gen::generate_rmat(p, seed);
-  return graph::prepare_dag(std::move(raw), graph::OrientationPolicy::kByDegree)
-      .dag;
+  return graph::prepare_dag(std::move(raw)).dag;
 }
 
 TEST(CompressedImage, CMergeCountsExactlyOnCompressedUpload) {

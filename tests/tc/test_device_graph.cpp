@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/orientation.hpp"
 #include "graph/prepare.hpp"
 
 namespace tcgpu::tc {
@@ -12,8 +11,9 @@ DeviceGraph upload_sample(simt::Device& dev) {
   graph::Coo coo;
   coo.num_vertices = 5;
   coo.edges = {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {2, 4}};
-  const auto und = graph::build_undirected_csr(graph::clean_edges(coo));
-  const auto dag = graph::orient(und, graph::OrientationPolicy::kById).dag;
+  // Id orientation: every cleaned edge is (min, max) already.
+  const graph::Coo clean = graph::clean_edges(coo);
+  const auto dag = graph::build_directed_csr(clean.num_vertices, clean.edges);
   return DeviceGraph::upload(dev, dag);
 }
 
