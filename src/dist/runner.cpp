@@ -1,11 +1,52 @@
 #include "dist/runner.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "framework/registry.hpp"
 
 namespace tcgpu::dist {
+
+std::optional<simt::ClusterSpec> shard_shape(const simt::ClusterSpec& cluster,
+                                             std::uint32_t width) {
+  const std::uint32_t per_host = cluster.host.devices;
+  if (width == 0 || per_host == 0) return std::nullopt;
+  const std::uint32_t need = (width + per_host - 1) / per_host;
+  std::uint32_t hosts = 1;
+  while (hosts < need) hosts <<= 1;
+  if (hosts > cluster.hosts || width % hosts != 0) return std::nullopt;
+  simt::ClusterSpec shape = cluster;
+  shape.hosts = hosts;
+  shape.host.devices = width / hosts;
+  return shape;
+}
+
+RunPricing price_run(const simt::ClusterInterconnect& net,
+                     const std::vector<Shard>& shards,
+                     const std::vector<double>& kernel_ms, bool aggregate) {
+  const std::uint32_t n = net.num_devices();
+  if (shards.size() != n || kernel_ms.size() != n) {
+    throw std::invalid_argument(
+        "price_run: need one shard and one kernel time per device");
+  }
+  std::vector<std::vector<std::uint64_t>> bytes(n), rows(n);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    bytes[d] = shards[d].recv_bytes_from;
+    rows[d] = shards[d].recv_rows_from;
+  }
+  RunPricing p;
+  p.scatter = net.scatter(bytes, rows, aggregate);
+  p.count_reduce = net.all_reduce(sizeof(std::uint64_t));
+  p.comm_ms = p.scatter.total.time_ms + p.count_reduce.time_ms;
+  double shards_done = 0.0;
+  for (std::uint32_t d = 0; d < n; ++d) {
+    shards_done = std::max(
+        shards_done, std::max(p.scatter.per_device_ms[d], kernel_ms[d]));
+  }
+  p.overlap_ms = shards_done + p.count_reduce.time_ms;
+  return p;
+}
 
 MultiDeviceRunner::MultiDeviceRunner(framework::Engine& engine,
                                      MultiRunConfig cfg)
@@ -30,7 +71,7 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
   out.partition = parts.report;
 
   // ---- per-shard kernels (devices run in parallel; wall time is the max) ---
-  std::vector<std::vector<std::uint64_t>> bytes(n), rows(n);
+  std::vector<double> kernel_ms(n);
   for (std::uint32_t d = 0; d < n; ++d) {
     // Each shard on its own fresh device: on N == 1 this is Engine::run's
     // address stream exactly.
@@ -52,41 +93,27 @@ MultiRunResult MultiDeviceRunner::run(const tc::TriangleCounter& algo,
     out.triangles += dr.triangles;
     out.combined += dr.stats;
     out.device_ms = std::max(out.device_ms, dr.stats.time_ms);
-    bytes[d] = shard.recv_bytes_from;
-    rows[d] = shard.recv_rows_from;
+    kernel_ms[d] = dr.stats.time_ms;
     out.devices.push_back(std::move(dr));
   }
 
   // ---- modeled communication ----------------------------------------------
   // The partitioner's per-owner traffic matrix, priced on the link each pair
   // actually crosses under both message disciplines.
-  const simt::ScatterModel flat = net_.scatter(bytes, rows, /*aggregate=*/false);
-  const simt::ScatterModel agg = net_.scatter(bytes, rows, /*aggregate=*/true);
-  out.count_reduce = net_.all_reduce(sizeof(std::uint64_t));
-  out.ghost_exchange = agg.total;
-  out.intra_exchange = agg.intra;
-  out.inter_exchange = agg.inter;
+  const RunPricing flat = price_run(net_, parts.shards, kernel_ms, false);
+  const RunPricing agg = price_run(net_, parts.shards, kernel_ms, true);
+  out.count_reduce = agg.count_reduce;
+  out.ghost_exchange = agg.scatter.total;
+  out.intra_exchange = agg.scatter.intra;
+  out.inter_exchange = agg.scatter.inter;
   for (std::uint32_t d = 0; d < n; ++d) {
-    out.devices[d].recv_ms = agg.per_device_ms[d];
+    out.devices[d].recv_ms = agg.scatter.per_device_ms[d];
   }
-  out.comm_ms = out.ghost_exchange.time_ms + out.count_reduce.time_ms;
-
-  // Overlapped wall time: every shard races its kernel against its own
-  // incoming scatter (owned-anchor work needs no ghosts, ghost-dependent
-  // intersections schedule last), then the counts reduce.
-  const auto overlapped_ms = [&](const simt::ScatterModel& m) {
-    double shards_done = 0.0;
-    for (std::uint32_t d = 0; d < n; ++d) {
-      shards_done = std::max(
-          shards_done, std::max(m.per_device_ms[d], out.devices[d].stats.time_ms));
-    }
-    return shards_done + out.count_reduce.time_ms;
-  };
-  out.flat_sync_ms =
-      out.device_ms + (flat.total.time_ms + out.count_reduce.time_ms);
-  out.flat_overlap_ms = overlapped_ms(flat);
+  out.comm_ms = agg.comm_ms;
+  out.flat_sync_ms = out.device_ms + flat.comm_ms;
+  out.flat_overlap_ms = flat.overlap_ms;
   out.agg_sync_ms = out.device_ms + out.comm_ms;
-  out.agg_overlap_ms = overlapped_ms(agg);
+  out.agg_overlap_ms = agg.overlap_ms;
   out.total_ms = out.agg_overlap_ms;
 
   // ---- imbalance + speedup -------------------------------------------------

@@ -15,6 +15,10 @@
 // executions; total_ms is the buffered + overlapped pipeline, and the flat
 // synchronous baseline is reported next to it.
 //
+// price_run() is that pricing step (traffic matrix -> scatter -> overlap ->
+// reduce) and shard_shape() the sub-cluster a width runs on; fleet::Placer
+// prices placements through both, so predicted comm is the run's comm.
+//
 // Counts aggregate by plain summation — the partitioner assigns each
 // anchor (edge or vertex) to exactly one shard, so per-device counts are
 // disjoint. N == 1 degenerates to the single-device path bit-for-bit:
@@ -23,6 +27,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,10 +45,37 @@ struct MultiRunConfig {
   PartitionStrategy strategy = PartitionStrategy::kRange;
   /// Run the whole-graph single-device baseline on every run for
   /// single_device_ms / speedup. The scaling benches want it; the fleet's
-  /// serving path turns it off — it already has the selector's model and
-  /// must not pay an extra full kernel per placed query.
+  /// serving path turns it off — its placer already priced one device, and
+  /// it must not pay an extra full kernel per placed query.
   bool measure_baseline = true;
 };
+
+/// The sub-cluster a `width`-shard run occupies on `cluster`. Devices fill
+/// hosts in contiguous blocks, so the run spans the fewest power-of-two
+/// hosts that hold it, split evenly. nullopt when no such shape fits: the
+/// width exceeds the cluster, needs more hosts than it has, or does not
+/// split evenly over them.
+std::optional<simt::ClusterSpec> shard_shape(const simt::ClusterSpec& cluster,
+                                             std::uint32_t width);
+
+/// One sharded run priced under one message discipline: the partitioner's
+/// traffic matrix (each shard's recv_bytes_from / recv_rows_from) scattered
+/// on `net`, then the count all-reduce. Every shard races its kernel
+/// (kernel_ms[d]) against its own incoming scatter — owned-anchor work
+/// needs no ghosts, ghost-dependent intersections schedule last — so it
+/// finishes at max(recv, kernel) before the reduce.
+struct RunPricing {
+  simt::ScatterModel scatter;        ///< ghost scatter, split by link level
+  simt::TransferStats count_reduce;  ///< post-kernel count all-reduce
+  double comm_ms = 0.0;     ///< scatter.total + count_reduce time
+  double overlap_ms = 0.0;  ///< max over shards of max(recv, kernel), + reduce
+};
+
+/// Throws std::invalid_argument unless there is one shard and one kernel
+/// time per device of `net`.
+RunPricing price_run(const simt::ClusterInterconnect& net,
+                     const std::vector<Shard>& shards,
+                     const std::vector<double>& kernel_ms, bool aggregate);
 
 /// One shard's share of a run.
 struct DeviceRun {

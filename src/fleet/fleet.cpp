@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "dist/runner.hpp"
+
 namespace tcgpu::fleet {
 
 namespace {
@@ -29,9 +31,9 @@ Fleet::Fleet(framework::Engine& engine, Config cfg)
       cfg_(cfg),
       cluster_(cluster_of(cfg_)),
       selector_(engine.config().spec),
-      placer_(selector_,
-              Placer::Config{cluster_, cfg.max_shards, cfg.strategy,
-                             cfg.shard_min_kernel_ms, cfg.min_speedup}) {
+      placer_(engine, selector_,
+              Placer::Config{cluster_, cfg.shard_min_kernel_ms,
+                             cfg.min_speedup}) {
   slots_.resize(cluster_.num_devices());
   for (std::uint32_t i = 0; i < slots_.size(); ++i) slots_[i].id = i;
 }
@@ -44,40 +46,18 @@ Placement Fleet::placement_for(const ExecutionRequest& req) {
     if (it != placements_.end()) return it->second;
   }
   // Priced from the selector's pick, not the kernel the query runs, and
-  // from stats + config only (never load): the table is the same whatever
-  // the arrival order, worker count or forced kernels.
-  const serve::Candidate pick = selector_.choose(req.graph->stats);
-  const Placement pl = placer_.decide(pick.algorithm, pick.cost, req.graph->stats);
+  // from the graph + config only (never load): the table is the same
+  // whatever the arrival order, worker count or forced kernels.
+  const Placement pl =
+      placer_.decide(selector_.choose(req.graph->stats), req.graph->dag);
   std::lock_guard lk(mu_);
   return placements_.emplace(key, pl).first->second;
-}
-
-dist::MultiDeviceRunner& Fleet::runner_for(std::uint32_t shards) {
-  std::lock_guard lk(mu_);
-  auto& runner = runners_[shards];
-  if (!runner) {
-    // Hosts fill in contiguous blocks, so a width runs on the fewest
-    // power-of-two hosts that fit it (widths are powers of two; a
-    // power-of-two host count always divides one), split evenly.
-    const std::uint32_t per_host = cluster_.host.devices;
-    const std::uint32_t need = (shards + per_host - 1) / per_host;
-    std::uint32_t hosts = 1;
-    while (hosts < need) hosts <<= 1;
-    hosts = std::min(hosts, shards);
-    simt::ClusterSpec cs = cluster_;
-    cs.hosts = hosts;
-    cs.host.devices = shards / hosts;
-    // The serving path never pays an extra baseline run.
-    runner = std::make_unique<dist::MultiDeviceRunner>(
-        engine_, dist::MultiRunConfig{cs, cfg_.strategy,
-                                      /*measure_baseline=*/false});
-  }
-  return *runner;
 }
 
 ExecutionOutcome Fleet::run_single(const ExecutionRequest& req) {
   ExecutionOutcome out;
   out.run = engine_.run(req.algorithm, req.graph);
+  out.realized_ms = out.run.result.total.time_ms;
 
   // Charge the least-busy slot (ties to the lowest id).
   std::lock_guard lk(mu_);
@@ -92,7 +72,12 @@ ExecutionOutcome Fleet::run_single(const ExecutionRequest& req) {
 
 ExecutionOutcome Fleet::run_sharded(const ExecutionRequest& req,
                                     const Placement& placement) {
-  dist::MultiDeviceRunner& runner = runner_for(placement.shards);
+  // The shape the placer priced. The serving path never pays an extra
+  // baseline run.
+  dist::MultiDeviceRunner runner(
+      engine_, dist::MultiRunConfig{
+                   dist::shard_shape(cluster_, placement.shards).value(),
+                   kShardStrategy, /*measure_baseline=*/false});
   const dist::MultiRunResult mr = runner.run(req.algorithm, req.graph);
 
   ExecutionOutcome out;
@@ -101,9 +86,8 @@ ExecutionOutcome Fleet::run_sharded(const ExecutionRequest& req,
   out.run.result.triangles = mr.triangles;
   out.run.result.total = mr.combined;
   out.run.valid = mr.valid;
-  out.sharded = true;
-  out.devices = placement.shards;
   out.comm_ms = mr.comm_ms;
+  out.realized_ms = mr.total_ms;
 
   // Charge each participating device its shard's kernel time. Binding picks
   // the least-busy slots (ties to the lowest id); it never feeds back into
@@ -128,27 +112,24 @@ ExecutionOutcome Fleet::run_sharded(const ExecutionRequest& req,
 
 ExecutionOutcome Fleet::execute(const ExecutionRequest& req) {
   const Placement placement = placement_for(req);
-  if (cfg_.result_cache) {
-    ResultCache::Entry hit;
-    if (cache_.lookup(req.key, req.version, req.algorithm, &hit)) {
-      ExecutionOutcome out;
-      out.cache_hit = true;
-      out.run.algorithm = req.algorithm;
-      out.run.dataset = req.graph ? req.graph->name : req.key;
-      out.run.result.triangles = hit.triangles;
-      out.run.valid = hit.valid;
-      out.sharded = placement.sharded;
-      out.devices = placement.shards;
-      out.placement = placement.describe();
-      std::lock_guard lk(mu_);
-      ++counters_.cache_hits;
-      return out;
-    }
+  ResultCache::Entry hit;
+  if (cfg_.result_cache &&
+      cache_.lookup(req.key, req.version, req.algorithm, &hit)) {
+    ExecutionOutcome out;
+    out.cache_hit = true;
+    out.placement = placement;
+    out.run.algorithm = req.algorithm;
+    out.run.dataset = req.graph ? req.graph->name : req.key;
+    out.run.result.triangles = hit.triangles;
+    out.run.valid = hit.valid;
+    std::lock_guard lk(mu_);
+    ++counters_.cache_hits;
+    return out;
   }
 
   ExecutionOutcome out =
       placement.sharded ? run_sharded(req, placement) : run_single(req);
-  out.placement = placement.describe();
+  out.placement = placement;
   if (cfg_.result_cache) {
     cache_.store(req.key, req.version, req.algorithm,
                  ResultCache::Entry{out.run.result.triangles, out.run.valid});

@@ -6,33 +6,32 @@
 //   1. the result cache (cache.hpp) — a repeat of a (graph, version,
 //      kernel) question replays the validated count without touching a
 //      device; stream version bumps invalidate (Fleet::invalidate);
-//   2. the placer (placer.hpp) — one device vs sharding across the
-//      modeled interconnect, priced from the selector's pick for the graph
-//      version whatever kernel the query runs, so a placement is a function
-//      of (stats, config) and placement tables are CI-pinnable;
+//   2. the placer (placer.hpp) — one device vs sharding, each width priced
+//      on the partition it would run, from the selector's pick for the
+//      graph version whatever kernel the query runs, so a placement is a
+//      function of (graph, config) and placement tables are CI-pinnable;
 //   3. dispatch — a single-device run is one Engine::run charged to the
-//      least-busy slot; a sharded run goes through the width's
-//      dist::MultiDeviceRunner (baseline measurement off: the serving path
-//      must not pay an extra full kernel per query) and charges each
-//      participating slot its shard's kernel time. Either way the run
-//      uploads its own device images and frees them when it returns.
+//      least-busy slot; a sharded run is one dist::MultiDeviceRunner run on
+//      the width's dist::shard_shape (the shape the placer priced;
+//      baseline measurement off: the serving path must not pay an extra
+//      full kernel per query) and charges each participating slot its
+//      shard's kernel time. Either way the run uploads its own device
+//      images and frees them when it returns.
 //
 // The Config's devices / hosts / interconnect / inter fields describe one
 // simt::ClusterSpec, built once in the constructor; the placer prices every
-// width on it and each width's runner runs on its share of it. With
+// width on it and each sharded run runs on its share of it. With
 // devices == 1 (the plain QueryService's fleet) no width is admissible, so
 // every miss runs Engine::run on slot 0.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dist/runner.hpp"
 #include "fleet/cache.hpp"
 #include "fleet/placer.hpp"
 #include "fleet/slot.hpp"
@@ -63,10 +62,9 @@ struct ExecutionRequest {
 struct ExecutionOutcome {
   framework::RunOutcome run;
   bool cache_hit = false;  ///< served from the result cache; run is synthetic
-  bool sharded = false;
-  std::uint32_t devices = 1;     ///< shards the kernel ran across
-  double comm_ms = 0.0;          ///< modeled interconnect time (sharded only)
-  std::string placement = "single";  ///< placer's decision label
+  Placement placement;     ///< the placer's decision and its prediction
+  double comm_ms = 0.0;    ///< modeled interconnect time (sharded only)
+  double realized_ms = 0.0;  ///< the run's modeled wall time (0 on a hit)
 };
 
 class Fleet {
@@ -75,8 +73,6 @@ class Fleet {
     std::uint32_t devices = 1;  ///< 0 is treated as 1
     /// Link between the devices of one host.
     simt::InterconnectSpec interconnect = simt::InterconnectSpec::nvlink();
-    dist::PartitionStrategy strategy = dist::PartitionStrategy::kRange;
-    std::uint32_t max_shards = 8;
     /// Placer admissibility knobs (see Placer::Config).
     double shard_min_kernel_ms = 0.05;
     double min_speedup = 1.2;
@@ -118,19 +114,17 @@ class Fleet {
   ExecutionOutcome run_sharded(const ExecutionRequest& req,
                                const Placement& placement);
   Placement placement_for(const ExecutionRequest& req);
-  dist::MultiDeviceRunner& runner_for(std::uint32_t shards);
 
   framework::Engine& engine_;
   Config cfg_;
   simt::ClusterSpec cluster_;  ///< the topology cfg_ describes
-  serve::Selector selector_;  ///< prices placements (choose, sharded_cost)
+  serve::Selector selector_;  ///< the pick every placement is priced from
   Placer placer_;
   ResultCache cache_;
 
-  mutable std::mutex mu_;  ///< guards slots_, placements_, runners_, counters_
+  mutable std::mutex mu_;  ///< guards slots_, placements_, counters_
   std::vector<DeviceSlot> slots_;
   std::map<std::pair<std::string, std::uint64_t>, Placement> placements_;
-  std::map<std::uint32_t, std::unique_ptr<dist::MultiDeviceRunner>> runners_;
   FleetCounters counters_;
 };
 

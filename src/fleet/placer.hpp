@@ -1,23 +1,23 @@
-// fleet::Placer — cost-model-driven single-vs-sharded placement.
+// fleet::Placer — single-vs-sharded placement, priced on the partition the
+// run will use.
 //
 // Extends the selector's question ("which kernel?") with the fleet's
-// ("across how many devices?"). For the chosen kernel it compares the
-// single-device modeled time against Selector::sharded_cost at each
-// admissible shard width (2, 4, ... up to the fleet size): the sub-linear
-// kernel speedup of an even 1/k work split against the interconnect's ghost
-// scatter + count all-reduce. Small graphs stay on one device — their
-// kernels finish before the first ghost byte would land — and only graphs
-// whose single-device time clears shard_min_kernel_ms AND whose modeled
-// sharded time wins by min_speedup shard out.
+// ("across how many devices?"). Each admissible shard width (2, 4, ... up
+// to the fleet size and kMaxShards) is priced exactly as
+// dist::MultiDeviceRunner will run it: on the width's dist::shard_shape, on
+// the range partition of the prepared DAG under the engine's seed, through
+// the runner's own dist::price_run (buffered ghost scatter, every shard
+// done at max(its receive, its kernel), then the count all-reduce). So the
+// predicted comm time is the run's, bit for bit; only the kernel term is a
+// model — the selector's one-device score split k ways,
+// (modeled - launch) / k^alpha + launch, on every shard.
 //
-// Determinism contract: decide() is a pure function of (stats, single-device
-// score, config) — never of device load or arrival order — so placement
-// tables are reproducible across worker counts and pinnable in CI exactly
-// like the selector's picks.
-//
-// Widths are priced on the fleet's simt::ClusterSpec: a width that fits one
-// host pays only the intra link, while wider placements pay the inter-host
-// link for the ghost share and all-reduce hops that cross a boundary.
+// The shard_min_kernel_ms bar is checked first, so small graphs stay on
+// one device and are never partitioned for pricing; wider placements must
+// win by min_speedup. Pricing partitions are discarded (the fleet memoizes
+// decisions per graph version). decide() is a pure function of (pick, DAG,
+// engine seed, config) — never of device load or arrival order — so
+// placement tables are reproducible and pinnable in CI like the picks.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +25,27 @@
 #include <utility>
 
 #include "dist/partition.hpp"
-#include "graph/stats.hpp"
+#include "framework/engine.hpp"
+#include "graph/csr.hpp"
 #include "serve/selector.hpp"
 #include "simt/gpu_spec.hpp"
 
 namespace tcgpu::fleet {
 
+/// Every sharded placement uses the range partition, at most 8 wide.
+inline constexpr dist::PartitionStrategy kShardStrategy =
+    dist::PartitionStrategy::kRange;
+inline constexpr std::uint32_t kMaxShards = 8;
+
+/// One priced placement: one device at the selector's score, or k shards
+/// at the sharded run's modeled pipeline.
 struct Placement {
   bool sharded = false;
   std::uint32_t shards = 1;  ///< 1 when !sharded
-  dist::PartitionStrategy strategy = dist::PartitionStrategy::kRange;
-  serve::PlacementCost cost;  ///< modeled cost of the decision taken
-  double single_ms = 0.0;     ///< the single-device alternative
+  std::uint32_t hosts = 1;   ///< hosts the shards span (dist::shard_shape)
+  double kernel_ms = 0.0;    ///< predicted kernel time of every shard
+  double comm_ms = 0.0;      ///< ghost scatter + count all-reduce (counted)
+  double total_ms = 0.0;     ///< predicted wall time
 
   /// Stable label for tables and CI pinning: "single" or "shard<k>:<strat>",
   /// with ":<h>h" appended when the placement crosses host boundaries
@@ -49,8 +58,6 @@ class Placer {
   struct Config {
     /// The fleet's topology; shard widths stay <= cluster.num_devices().
     simt::ClusterSpec cluster;
-    std::uint32_t max_shards = 8; ///< cap independent of fleet size
-    dist::PartitionStrategy strategy = dist::PartitionStrategy::kRange;
     /// Sharding is inadmissible below this single-device modeled time —
     /// launch + scatter latency dominates small kernels no matter what the
     /// model says about the work term. 50us sits above the modeled NVLink
@@ -61,20 +68,27 @@ class Placer {
     double min_speedup = 1.2;
   };
 
-  /// Borrows the selector (for sharded_cost); it must outlive the placer.
-  Placer(const serve::Selector& selector, Config cfg)
-      : selector_(selector), cfg_(std::move(cfg)) {}
+  /// Borrows the engine (its seed seeds the pricing partitions, as it
+  /// seeds MultiDeviceRunner's) and the selector (the kernels' work
+  /// exponents); both must outlive the placer.
+  Placer(const framework::Engine& engine, const serve::Selector& selector,
+         Config cfg)
+      : engine_(engine), selector_(selector), cfg_(std::move(cfg)) {}
 
-  /// Picks the cheapest admissible placement of `algorithm` (already chosen
-  /// by the selector, scored as `single`) for a graph with these stats.
-  /// Throws std::invalid_argument when the cluster has no host or device.
-  Placement decide(const std::string& algorithm,
-                   const serve::CostBreakdown& single,
-                   const graph::GraphStats& stats) const;
+  /// Prices `pick` (the selector's choice for this DAG) split `width` ways;
+  /// width 1 is the pick's own score. Throws std::invalid_argument when the
+  /// pick is not in the selector's pool or the width has no shape on the
+  /// cluster.
+  Placement price(const serve::Candidate& pick, const graph::Csr& dag,
+                  std::uint32_t width) const;
 
-  const Config& config() const { return cfg_; }
+  /// The cheapest admissible placement of `pick`: one device, or the width
+  /// whose priced total is lowest and beats one device by min_speedup
+  /// (ties keep the narrower width, fewer devices held).
+  Placement decide(const serve::Candidate& pick, const graph::Csr& dag) const;
 
  private:
+  const framework::Engine& engine_;
   const serve::Selector& selector_;
   Config cfg_;
 };

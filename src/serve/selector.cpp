@@ -146,79 +146,4 @@ Candidate Selector::choose(const graph::GraphStats& stats) const {
   return std::move(ranked.front());
 }
 
-PlacementCost Selector::sharded_cost(const std::string& algorithm,
-                                     const CostBreakdown& single,
-                                     std::uint32_t devices,
-                                     const graph::GraphStats& stats,
-                                     const simt::ClusterSpec& cluster) const {
-  if (cluster.hosts == 0 || cluster.host.devices == 0) {
-    throw std::invalid_argument(
-        "Selector::sharded_cost: cluster must have >= 1 host with >= 1 device");
-  }
-  PlacementCost pc;
-  pc.devices = std::max(1u, devices);
-  if (pc.devices == 1) {
-    pc.kernel_ms = single.modeled_ms;
-    pc.total_ms = single.modeled_ms;
-    return pc;
-  }
-  const std::uint32_t k = pc.devices;
-  const std::uint32_t per_host = cluster.host.devices;
-  pc.hosts = (k + per_host - 1) / per_host;
-  if (pc.hosts > cluster.hosts) {
-    throw std::invalid_argument(
-        "Selector::sharded_cost: placement needs " + std::to_string(pc.hosts) +
-        " hosts but the cluster has " + std::to_string(cluster.hosts));
-  }
-  // An even 1/k work split shrinks the modeled kernel term by k^alpha (the
-  // model is sub-linear in work, so sharding never reaches ideal 1/k), and
-  // every shard still pays its own launch.
-  double alpha = 0.7;
-  for (const auto& m : models_) {
-    if (m.name == algorithm) {
-      alpha = m.work_exponent;
-      break;
-    }
-  }
-  const double kd = static_cast<double>(k);
-  const double work_ms = std::max(0.0, single.modeled_ms - single.launch_ms);
-  pc.kernel_ms = work_ms / std::pow(kd, alpha) + single.launch_ms;
-  // Comm: each shard must receive the ghost adjacency rows it does not own,
-  // as one message per contributing peer, then the per-device counts
-  // all-reduce. dist::Partitioner's measured replication factor sits near 2
-  // on the paper graphs — a shard imports roughly its own 4-byte-per-edge
-  // share of the CSR image again — so ghost traffic is modeled as E/k
-  // entries per device, not the full (k-1)/k remainder. Devices fill hosts
-  // in contiguous blocks: a device on a full host has local - 1 intra peers
-  // and k - local peers behind the network, and the network carries their
-  // share of the ghost bytes (conservative — the host-aware partitioner
-  // skews ghosts intra). Every shard receives in parallel, so one device's
-  // serialized intra + inter receive is the scatter time.
-  const auto ghost_per_dev = static_cast<std::uint64_t>(
-      4.0 * static_cast<double>(stats.num_undirected_edges) / kd);
-  const std::uint32_t local = std::min(per_host, k);
-  const double intra_peers = static_cast<double>(local - 1);
-  const double inter_peers = static_cast<double>(k - local);
-  const double inter_bytes = static_cast<double>(ghost_per_dev) * inter_peers /
-                             std::max(1.0, intra_peers + inter_peers);
-  const double intra_bytes = static_cast<double>(ghost_per_dev) - inter_bytes;
-  // The count all-reduce is hierarchical: reduce + broadcast trees within a
-  // host, one recursive-doubling exchange among the host leaders.
-  const auto tree_steps = [](std::uint32_t nodes) {
-    std::uint32_t s = 0;
-    for (std::uint32_t span = 1; span < nodes; span <<= 1) ++s;
-    return s;
-  };
-  const double scatter_ms =
-      cluster.host.intra.time_ms(intra_peers, intra_bytes) +
-      cluster.inter.time_ms(inter_peers, inter_bytes);
-  const double reduce_ms =
-      2.0 * tree_steps(local) *
-          cluster.host.intra.transfer_ms(sizeof(std::uint64_t)) +
-      tree_steps(pc.hosts) * cluster.inter.transfer_ms(sizeof(std::uint64_t));
-  pc.comm_ms = scatter_ms + reduce_ms;
-  pc.total_ms = pc.kernel_ms + pc.comm_ms;
-  return pc;
-}
-
 }  // namespace tcgpu::serve

@@ -41,6 +41,10 @@
 // Only count queries are scored. A mutation batch of any size commits
 // through stream::DynamicGraph's one delta path, so there is nothing to
 // choose between.
+//
+// The selector answers only "which kernel". fleet::Placer prices "across
+// how many devices" on the partition each width would run, taking from
+// here only the pick's score and work exponent alpha.
 #pragma once
 
 #include <cstdint>
@@ -64,20 +68,6 @@ struct CostBreakdown {
 struct Candidate {
   std::string algorithm;
   CostBreakdown cost;
-};
-
-/// Modeled cost of one fleet placement: run the chosen kernel across
-/// `devices` shards. kernel_ms is the slowest shard (the work split is
-/// even, so 1/devices of the work through the sub-linear model), comm_ms
-/// the ghost scatter plus count all-reduce on the modeled interconnect.
-/// hosts > 1 means the placement spills across host boundaries and part of
-/// the ghost traffic was priced on the cluster's inter-host link.
-struct PlacementCost {
-  std::uint32_t devices = 1;
-  std::uint32_t hosts = 1;
-  double kernel_ms = 0.0;
-  double comm_ms = 0.0;
-  double total_ms = 0.0;
 };
 
 /// Static per-algorithm model parameters (see the file comment). Work names
@@ -127,19 +117,6 @@ class Selector {
   /// The front door: argmin of score(). Throws std::logic_error when no
   /// algorithm is registered.
   Candidate choose(const graph::GraphStats& stats) const;
-
-  /// Models running `algorithm` split across `devices` even shards on a
-  /// hosts x devices-per-host cluster, starting from its single-device
-  /// CostBreakdown. Devices fill hosts in contiguous blocks: a placement
-  /// that fits one host pays only the intra link, wider ones pay the
-  /// cluster's inter-host link for the ghost share and all-reduce hops that
-  /// cross a host boundary. devices == 1 returns the single-device cost with
-  /// zero comm. Throws when the placement needs more hosts than the cluster
-  /// has, or the cluster has no host or no device.
-  PlacementCost sharded_cost(const std::string& algorithm,
-                             const CostBreakdown& single, std::uint32_t devices,
-                             const graph::GraphStats& stats,
-                             const simt::ClusterSpec& cluster) const;
 
   const std::vector<AlgoModel>& models() const { return models_; }
 

@@ -511,10 +511,12 @@ void QueryService::process_batch(std::vector<std::unique_ptr<Pending>> batch) {
       reply.valid = out.run.valid;
       reply.stats = out.run.result.total;
       reply.cache_hit = out.cache_hit;
-      reply.sharded = out.sharded;
-      reply.devices = out.devices;
+      reply.sharded = out.placement.sharded;
+      reply.devices = out.placement.shards;
       reply.comm_ms = out.comm_ms;
-      reply.placement = out.placement;
+      reply.placement = out.placement.describe();
+      reply.predicted_ms = out.placement.total_ms;
+      reply.realized_ms = out.realized_ms;
       reply.status = QueryStatus::kOk;
       if (from_stream) {
         std::lock_guard lk(mu_);

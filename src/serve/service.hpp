@@ -124,6 +124,10 @@ struct QueryReply {
   std::uint32_t devices = 1;     ///< shard count (1 = single device)
   double comm_ms = 0.0;          ///< modeled interconnect time (sharded only)
   std::string placement;         ///< "single" or "shard<k>:<strategy>[:<h>h]"
+  /// The placement's predicted wall time, and the run's modeled one: one
+  /// kernel's time_ms, or the sharded pipeline's total_ms (0 on a hit).
+  double predicted_ms = 0.0;
+  double realized_ms = 0.0;
   std::string tenant;            ///< the request's tenant ("default" if empty)
 };
 

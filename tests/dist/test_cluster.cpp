@@ -1,11 +1,13 @@
 // Multi-device behavior of MultiDeviceRunner on simt::ClusterInterconnect:
 // single-host numbers pinned against the flat model written out below,
 // count exactness across topologies, the ordering of the four
-// (aggregation, overlap) pricings, and the per-level exchange split.
+// (aggregation, overlap) pricings, the per-level exchange split, and the
+// width -> cluster shape rule a sharded placement runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dist/runner.hpp"
@@ -225,6 +227,41 @@ TEST(ClusterRunner, SplitsExchangeByLinkLevel) {
   double max_recv = 0.0;
   for (const DeviceRun& d : r.devices) max_recv = std::max(max_recv, d.recv_ms);
   EXPECT_GT(max_recv, 0.0);
+}
+
+TEST(ShardShape, FewestPowerOfTwoHostsSplitEvenly) {
+  const auto shape = [](const simt::ClusterSpec& cluster, std::uint32_t k) {
+    const auto s = shard_shape(cluster, k);
+    return s ? std::make_pair(s->hosts, s->host.devices)
+             : std::make_pair(0u, 0u);
+  };
+  using P = std::pair<std::uint32_t, std::uint32_t>;
+  const auto one = simt::ClusterSpec::single_host(4);
+  EXPECT_EQ(shape(one, 1), P(1, 1));
+  EXPECT_EQ(shape(one, 2), P(1, 2));
+  EXPECT_EQ(shape(one, 4), P(1, 4));
+  const auto two_by_four = simt::ClusterSpec::infiniband(2, 4);
+  EXPECT_EQ(shape(two_by_four, 4), P(1, 4));  // fits one host
+  EXPECT_EQ(shape(two_by_four, 8), P(2, 4));
+  // 3 devices per host: width 4 spans 2 hosts x 2, not a 3 + 1 fill.
+  const auto two_by_three = simt::ClusterSpec::infiniband(2, 3);
+  EXPECT_EQ(shape(two_by_three, 2), P(1, 2));
+  EXPECT_EQ(shape(two_by_three, 4), P(2, 2));
+  EXPECT_EQ(shape(two_by_three, 6), P(2, 3));
+  // The shape keeps the cluster's links.
+  const auto s = shard_shape(two_by_three, 4);
+  ASSERT_TRUE(s);
+  EXPECT_EQ(s->host.intra.name, two_by_three.host.intra.name);
+  EXPECT_EQ(s->inter.name, two_by_three.inter.name);
+}
+
+TEST(ShardShape, RejectsShapesTheClusterLacks) {
+  EXPECT_FALSE(shard_shape(simt::ClusterSpec::ethernet(2, 2), 8));  // too wide
+  EXPECT_FALSE(shard_shape(simt::ClusterSpec::single_host(4), 0));
+  // 9 devices over 3 hosts: width 8 needs 4 power-of-two hosts.
+  EXPECT_FALSE(shard_shape(simt::ClusterSpec::infiniband(3, 3), 8));
+  // 3 single-device hosts: width 3 has no power-of-two host count.
+  EXPECT_FALSE(shard_shape(simt::ClusterSpec::infiniband(3, 1), 3));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/placer.hpp"
 #include "fleet/service.hpp"
 #include "gen/er.hpp"
 #include "serve/selector.hpp"
@@ -203,32 +202,7 @@ TEST(FleetPlacement, TinyKernelsStaySingle) {
   EXPECT_EQ(reply.placement, "single");
 }
 
-// --- Placer: cluster pricing and fleet topology -----------------------------
-
-/// Stats dense enough that sharding models as a clear win on a free link
-/// (the shape of Web-BerkStan at the default cap).
-graph::GraphStats dense_stats() {
-  graph::GraphStats s;
-  s.num_vertices = 8'172;
-  s.num_undirected_edges = 100'000;
-  s.avg_out_degree = 12.24;
-  s.max_out_degree = 91;
-  s.sum_out_degree_sq = 3'137'952;
-  s.out_degree_skew = 7.4;
-  return s;
-}
-
-/// A placer config where every width is admissible: `hosts` hosts sharing
-/// `devices` devices, all on a free link, no bars.
-Placer::Config open_placer(std::uint32_t devices, std::uint32_t hosts = 1) {
-  Placer::Config pc;
-  pc.cluster.hosts = hosts;
-  pc.cluster.host.devices = devices / hosts;
-  pc.cluster.host.intra = free_link();
-  pc.shard_min_kernel_ms = 0.0;
-  pc.min_speedup = 1.0;
-  return pc;
-}
+// --- fleet topology ---------------------------------------------------------
 
 TEST(FleetConfigTest, HostsMustDivideDevices) {
   framework::Engine engine(small_engine());
@@ -240,47 +214,6 @@ TEST(FleetConfigTest, HostsMustDivideDevices) {
   EXPECT_THROW(Fleet(engine, fc), std::invalid_argument);
   fc.hosts = 2;
   EXPECT_NO_THROW(Fleet(engine, fc));
-}
-
-TEST(PlacerCluster, SlowInterHostLinkKeepsPlacementsWithinAHost) {
-  serve::Selector sel;
-  const auto ranked = sel.score(dense_stats());
-  const auto& best = ranked.front();
-
-  Placer flat_placer(sel, open_placer(8));
-  const Placement flat = flat_placer.decide(best.algorithm, best.cost,
-                                            dense_stats());
-  EXPECT_EQ(flat.shards, 8u);  // free flat link: widest width wins
-
-  // Same fleet split 2 x 4 behind a dreadful network: widths that fit one
-  // host still price on the free intra link, width 8 pays the inter link —
-  // the placer stops at the host boundary.
-  Placer::Config cc = open_placer(8, 2);
-  cc.cluster.inter.name = "test-molasses";
-  cc.cluster.inter.peer_bandwidth_gbps = 1e-6;
-  cc.cluster.inter.latency_us = 1e6;
-  Placer cluster_placer(sel, cc);
-  const Placement within = cluster_placer.decide(best.algorithm, best.cost,
-                                                 dense_stats());
-  EXPECT_TRUE(within.sharded);
-  EXPECT_EQ(within.shards, 4u);
-  EXPECT_EQ(within.cost.hosts, 1u);
-  EXPECT_EQ(within.describe(), "shard4:range");  // no host suffix intra-host
-}
-
-TEST(PlacerCluster, FastInterLinkGoesWideAndLabelsTheHosts) {
-  serve::Selector sel;
-  const auto ranked = sel.score(dense_stats());
-  const auto& best = ranked.front();
-  Placer::Config cc = open_placer(8, 2);
-  cc.cluster.inter = free_link();  // crossing hosts costs nothing
-  Placer placer(sel, cc);
-  const Placement wide = placer.decide(best.algorithm, best.cost,
-                                       dense_stats());
-  EXPECT_TRUE(wide.sharded);
-  EXPECT_EQ(wide.shards, 8u);
-  EXPECT_EQ(wide.cost.hosts, 2u);
-  EXPECT_EQ(wide.describe(), "shard8:range:2h");
 }
 
 TEST(FleetPlacement, TableIsLoadBlind) {
