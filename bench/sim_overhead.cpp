@@ -8,17 +8,22 @@
 //                    run out of occurrences at a site);
 //   * atomic_heavy — global + shared atomics (serialization costs).
 //
+// Each regime is timed as the median of --repeats launches; min, median and
+// max are printed, so one run shows its own spread. A single launch takes
+// 10-130 ms with --quick and swings by tens of percent on a shared host; the
+// median of several is what --check judges.
+//
 // Emits JSON so the perf trajectory is tracked across PRs; --check compares
-// against a checked-in baseline and fails when a regime's events/sec drops
-// more than 25% below it (the CI sim-throughput gate) or its event count
-// differs from it. Simulated counts are deterministic, so a different count
-// means the aggregation changed, not the machine.
+// against a checked-in baseline and fails when a regime's median events/sec
+// drops more than 25% below it (the CI sim-throughput gate) or its event
+// count differs from it. Simulated counts are deterministic, so a different
+// count means the aggregation changed, not the machine.
 //
 // Flags: --quick            smaller grids, CI-friendly runtimes
 //        --out=PATH         write the JSON report to PATH
 //        --check=PATH       compare against a baseline JSON, exit 1 on a
 //                           regression or an event-count mismatch
-//        --repeats=N        timing repeats per workload (default 3, best-of)
+//        --repeats=N        timed launches per workload (default 5, median)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,18 +46,21 @@ using namespace tcgpu;
 struct WorkloadResult {
   std::string name;
   std::uint64_t events = 0;  ///< metered lane accesses per run
-  double seconds = 0.0;      ///< best-of-repeats wall clock for one run
+  double seconds = 0.0;      ///< median wall clock of one run over the repeats
+  double min_seconds = 0.0;
+  double max_seconds = 0.0;
   double events_per_sec() const { return static_cast<double>(events) / seconds; }
   double ns_per_access() const { return seconds * 1e9 / static_cast<double>(events); }
 };
 
-/// Times one launch closure: returns best-of-`repeats` seconds and the
-/// event count (identical across repeats — the simulator is deterministic).
+/// Times one launch closure `repeats` times: returns the median, min and max
+/// seconds and the event count (identical across repeats — the simulator is
+/// deterministic).
 template <class Fn>
 WorkloadResult time_workload(const std::string& name, int repeats, Fn&& run) {
   WorkloadResult r;
   r.name = name;
-  r.seconds = 1e100;
+  std::vector<double> seconds;
   for (int i = 0; i < repeats; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     const simt::KernelStats stats = run();
@@ -60,8 +68,14 @@ WorkloadResult time_workload(const std::string& name, int repeats, Fn&& run) {
     // No compute() in these kernels, so every active lane step is exactly
     // one metered access event.
     r.events = stats.metrics.active_lane_steps;
-    r.seconds = std::min(r.seconds, std::chrono::duration<double>(t1 - t0).count());
+    seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t mid = seconds.size() / 2;
+  r.seconds = seconds.size() % 2 != 0 ? seconds[mid]
+                                      : 0.5 * (seconds[mid - 1] + seconds[mid]);
+  r.min_seconds = seconds.front();
+  r.max_seconds = seconds.back();
   return r;
 }
 
@@ -131,10 +145,11 @@ std::string to_json(const std::vector<WorkloadResult>& results) {
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"events\": %llu, \"seconds\": %.6f, "
+                  "\"seconds_min\": %.6f, \"seconds_max\": %.6f, "
                   "\"events_per_sec\": %.0f, \"ns_per_access\": %.2f}%s\n",
                   r.name.c_str(), static_cast<unsigned long long>(r.events),
-                  r.seconds, r.events_per_sec(), r.ns_per_access(),
-                  i + 1 < results.size() ? "," : "");
+                  r.seconds, r.min_seconds, r.max_seconds, r.events_per_sec(),
+                  r.ns_per_access(), i + 1 < results.size() ? "," : "");
     os << buf;
   }
   os << "  ]\n}\n";
@@ -175,7 +190,7 @@ bool parse_baseline(const std::string& path, std::vector<BaselineEntry>& out) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int repeats = 3;
+  int repeats = 5;
   std::string out_path;
   std::string check_path;
   for (int i = 1; i < argc; ++i) {
@@ -220,13 +235,15 @@ int main(int argc, char** argv) {
     }));
   }
 
-  std::printf("%-14s %14s %10s %16s %12s\n", "workload", "events", "sec",
-              "events/sec", "ns/access");
+  std::printf("%-14s %14s %10s %10s %10s %16s %12s\n", "workload", "events",
+              "min s", "median s", "max s", "events/sec", "ns/access");
   for (const auto& r : results) {
-    std::printf("%-14s %14llu %10.4f %16.0f %12.2f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events), r.seconds,
-                r.events_per_sec(), r.ns_per_access());
+    std::printf("%-14s %14llu %10.4f %10.4f %10.4f %16.0f %12.2f\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.events), r.min_seconds, r.seconds,
+                r.max_seconds, r.events_per_sec(), r.ns_per_access());
   }
+  std::printf("(%d repeats per workload; events/sec and ns/access use the median)\n",
+              repeats);
 
   const std::string json = to_json(results);
   if (!out_path.empty()) {
@@ -259,7 +276,7 @@ int main(int argc, char** argv) {
       const bool fast_enough = it->events_per_sec() >= floor;
       const bool same_events = it->events == base.events;
       std::fprintf(stderr,
-                   "check %-14s %16.0f ev/s vs baseline %16.0f (floor %16.0f) %s; "
+                   "check %-14s median %16.0f ev/s vs baseline %16.0f (floor %16.0f) %s; "
                    "events %llu vs %llu %s\n",
                    base.name.c_str(), it->events_per_sec(), base.events_per_sec, floor,
                    fast_enough ? "ok" : "REGRESSED",

@@ -1,6 +1,7 @@
 #include "simt/launch.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace tcgpu::simt::detail {
 
@@ -41,6 +42,16 @@ void validate_config(const GpuSpec& spec, const LaunchConfig& cfg) {
     fail("launch: shared_banks must be in [1, 64]");
   }
   if (spec.sector_bytes == 0) fail("launch: sector_bytes must be >= 1");
+  // finalize places blocks round-robin over the SMs and divides by the clock
+  // and the bandwidth; a spec it cannot price is a config error, not a
+  // SIGFPE or an infinite time_ms.
+  if (spec.sm_count == 0) fail("launch: sm_count must be >= 1");
+  if (!(std::isfinite(spec.clock_ghz) && spec.clock_ghz > 0.0)) {
+    fail("launch: clock_ghz must be positive and finite");
+  }
+  if (!(std::isfinite(spec.mem_bandwidth_gbps) && spec.mem_bandwidth_gbps > 0.0)) {
+    fail("launch: mem_bandwidth_gbps must be positive and finite");
+  }
 }
 
 KernelStats finalize(const GpuSpec& spec, const std::vector<double>& block_cycles,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 
 namespace tcgpu::simt {
@@ -123,10 +125,28 @@ std::uint32_t WarpAggregator::distinct_sectors(const std::uint64_t* addrs,
 /// The degree depends only on the set of words (order-independent), so the
 /// dedup is a stamped-set probe per lane — no sort, even for the scattered
 /// word patterns of the hash-probe kernels.
+///
+/// Fast path, exact: when the words are non-decreasing across lanes and the
+/// last is fewer than `banks` words past the first, every word lies in one
+/// window of `banks` consecutive words, whose banks (word mod banks) are all
+/// distinct. Each bank then holds at most one distinct word, so the degree
+/// is 1 without a probe. Coalesced and broadcast reads of a shared array
+/// take this path.
 std::uint32_t WarpAggregator::conflict_degree(const std::uint64_t* addrs,
                                               std::uint32_t n) {
   const std::uint32_t banks = spec_->shared_banks;
   const std::uint32_t m = std::min<std::uint32_t>(n, 64);
+  {
+    const std::uint64_t first = addrs[0] >> 2;
+    std::uint64_t prev = first;
+    std::uint32_t i = 1;
+    for (; i < m; ++i) {
+      const std::uint64_t w = addrs[i] >> 2;
+      if (w < prev || w - first >= banks) break;
+      prev = w;
+    }
+    if (i == m) return 1;
+  }
   std::array<std::uint8_t, 64> per_bank{};  // validate_config keeps banks <= 64
   const bool pow2 = std::has_single_bit(banks);
   const std::uint64_t mask = banks - 1;  // valid only when pow2
@@ -154,25 +174,38 @@ WarpAggregator::WarpAggregator(const GpuSpec& spec)
   reset_cache();
 }
 
-std::uint32_t WarpAggregator::intern(std::uint32_t site) {
+void WarpAggregator::record_slow(std::uint32_t lane, const Event& e,
+                                 std::uint32_t site) {
   if (site >= site_map_.size()) site_map_.resize(static_cast<std::size_t>(site) + 1, 0);
-  const std::uint32_t local = unit_sites_++;
-  site_map_[site] = (static_cast<std::uint64_t>(unit_gen_) << 32) | local;
-  if (local == sites_.size()) sites_.emplace_back();
-  SiteEvents& s = sites_[local];
-  s.events.clear();
-  s.open_lane = kLanes;  // no slice yet: the first record opens one
-  s.slices = 0;
-  return local;
+  std::uint64_t& slot = site_map_[site];
+  if (static_cast<std::uint32_t>(slot >> 32) != unit_gen_) {
+    const std::uint32_t local = unit_sites_++;
+    slot = (static_cast<std::uint64_t>(unit_gen_) << 32) | local;
+    if (local == sites_.size()) sites_.emplace_back();
+    SiteEvents& s = sites_[local];
+    s.len = 0;
+    s.open_lane = lane;
+    s.slices = 1;
+    s.slice_begin[0] = 0;
+  }
+  SiteEvents& s = sites_[static_cast<std::uint32_t>(slot)];
+  if (s.len == s.cap) grow(s);
+  append(s, lane, e);
 }
 
-void WarpAggregator::open_slice(SiteEvents& s, std::uint32_t lane) {
-  if (s.slices != 0 && lane < s.open_lane) {
-    throw std::logic_error("WarpAggregator: lanes must record in turn (lane-major)");
+void WarpAggregator::grow(SiteEvents& s) {
+  if (s.cap > std::numeric_limits<std::uint32_t>::max() / 2) {
+    throw std::length_error("WarpAggregator: too many events at one call site");
   }
-  s.slice_begin[s.slices] = static_cast<std::uint32_t>(s.events.size());
-  ++s.slices;
-  s.open_lane = lane;
+  const std::uint32_t cap = s.cap == 0 ? 1 : 2 * s.cap;
+  auto buf = std::make_unique_for_overwrite<Event[]>(cap);
+  std::copy_n(s.buf.get(), s.len, buf.get());
+  s.buf = std::move(buf);
+  s.cap = cap;
+}
+
+void WarpAggregator::lane_order_error() {
+  throw std::logic_error("WarpAggregator: lanes must record in turn (lane-major)");
 }
 
 std::uint32_t WarpAggregator::cache_access(const std::uint64_t* sectors,
@@ -286,8 +319,8 @@ double WarpAggregator::flush(KernelMetrics& m) {
     std::array<std::size_t, kLanes> len;
     std::uint32_t na = se.slices;
     for (std::uint32_t i = 0; i < na; ++i) {
-      const std::size_t end = i + 1 < na ? se.slice_begin[i + 1] : se.events.size();
-      ev[i] = se.events.data() + se.slice_begin[i];
+      const std::size_t end = i + 1 < na ? se.slice_begin[i + 1] : se.len;
+      ev[i] = se.buf.get() + se.slice_begin[i];
       len[i] = end - se.slice_begin[i];
     }
     for (std::size_t k = 0; na != 0;) {

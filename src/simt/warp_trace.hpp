@@ -21,6 +21,12 @@
 // occurrences ascending, lanes ascending within a group. One path serves
 // converged and divergent warps alike.
 //
+// record() runs once per metered lane access, so its steady state is inline:
+// a site-map hit, opening the lane's slice when the lane changes (with the
+// lane-major check), and a store into the site's spare capacity. One
+// out-of-line call remains, for a site's first event in a unit and for
+// buffer growth; a lane-major violation throws from a cold function.
+//
 // Per aligned group the aggregator derives:
 //   * global kinds — one request, plus one transaction per distinct
 //     32-byte sector touched by the group's addresses (nvprof's definition);
@@ -33,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "simt/event.hpp"
@@ -53,11 +60,23 @@ class WarpAggregator {
   /// flush unit, lanes record in turn — all of lane 0's events, then lane
   /// 1's, ... (see the file comment); a lane returning to a site after a
   /// higher lane used it throws std::logic_error.
+  ///
+  /// Inline fast path: the site already has a slot this unit and spare
+  /// capacity. Everything else (first event at the site this unit, a full
+  /// buffer) takes record_slow().
   void record(std::uint32_t lane, std::uint64_t addr, std::uint32_t site,
               AccessKind kind, std::uint8_t size) {
-    SiteEvents& s = sites_[local_site(site)];
-    if (s.open_lane != lane) open_slice(s, lane);
-    s.events.push_back(Event{addr, kind, size});
+    if (site < site_map_.size()) {
+      const std::uint64_t slot = site_map_[site];
+      if (static_cast<std::uint32_t>(slot >> 32) == unit_gen_) {
+        SiteEvents& s = sites_[static_cast<std::uint32_t>(slot)];
+        if (s.len != s.cap) [[likely]] {
+          append(s, lane, Event{addr, kind, size});
+          return;
+        }
+      }
+    }
+    record_slow(lane, Event{addr, kind, size}, site);
   }
 
   /// Charges `n` pure-ALU steps to `lane`.
@@ -96,34 +115,43 @@ class WarpAggregator {
   };
 
   /// One call site's events in the current unit, cut into per-lane slices
-  /// that ascend by lane: slice i is events[slice_begin[i], slice_begin[i+1])
-  /// (the last ends at events.size()) and holds one lane's accesses at this
-  /// site in program order. Lanes that never reached the site have no slice.
+  /// that ascend by lane: slice i is buf[slice_begin[i], slice_begin[i+1])
+  /// (the last ends at len) and holds one lane's accesses at this site in
+  /// program order. Lanes that never reached the site have no slice. A site
+  /// in use this unit always has an open slice (record_slow opens the first),
+  /// so open_lane is always a real lane. The buffer keeps its capacity
+  /// across units and doubles when full, as push_back would.
   struct SiteEvents {
-    std::vector<Event> events;
+    std::unique_ptr<Event[]> buf;  ///< cap slots, [0, len) live
+    std::uint32_t len = 0;
+    std::uint32_t cap = 0;
     std::uint32_t open_lane = 0;  ///< lane of the last slice
     std::uint32_t slices = 0;
     std::array<std::uint32_t, kLanes> slice_begin{};
   };
 
-  /// Dense local id of `site` in this unit, handed out in first-appearance
-  /// order. O(1): site_map_[site] holds (unit generation << 32 | local id),
-  /// so a fresh unit is one generation bump, not a map clear.
-  std::uint32_t local_site(std::uint32_t site) {
-    if (site < site_map_.size()) {
-      const std::uint64_t slot = site_map_[site];
-      if (static_cast<std::uint32_t>(slot >> 32) == unit_gen_) {
-        return static_cast<std::uint32_t>(slot);
-      }
+  /// Appends `e` to `lane`'s slice of `s`, opening the slice when the lane
+  /// changes. Precondition: len < cap.
+  static void append(SiteEvents& s, std::uint32_t lane, const Event& e) {
+    if (lane != s.open_lane) {
+      if (lane < s.open_lane) [[unlikely]] lane_order_error();
+      s.slice_begin[s.slices++] = s.len;
+      s.open_lane = lane;
     }
-    return intern(site);
+    s.buf[s.len++] = e;
   }
 
-  /// First event at `site` in this unit: next local id, emptied record.
-  std::uint32_t intern(std::uint32_t site);
+  /// Everything record() does not do inline. A site's first event in this
+  /// unit takes the next dense local id, in first-appearance order:
+  /// site_map_[site] holds (unit generation << 32 | local id), so a fresh
+  /// unit is one generation bump, not a map clear. A full buffer grows.
+  void record_slow(std::uint32_t lane, const Event& e, std::uint32_t site);
 
-  /// Starts `lane`'s slice at `s`; throws if the recording is not lane-major.
-  void open_slice(SiteEvents& s, std::uint32_t lane);
+  /// Doubles `s`'s capacity (1 when empty), keeping its events.
+  static void grow(SiteEvents& s);
+
+  /// Throws std::logic_error: a lane recorded at a site after a higher lane.
+  [[noreturn, gnu::cold]] static void lane_order_error();
 
   /// Looks up `n` sector ids in the direct-mapped cache, installing misses.
   /// Returns the number of misses (DRAM transactions).

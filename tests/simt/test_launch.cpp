@@ -2,6 +2,7 @@
 // per-item state, atomics, and fault handling.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "simt/launch.hpp"
@@ -198,6 +199,15 @@ TEST(Launch, BadConfigsRejected) {
   rejects([](GpuSpec& s) { s.shared_banks = 0; });
   rejects([](GpuSpec& s) { s.shared_banks = 65; });
   rejects([](GpuSpec& s) { s.sector_bytes = 0; });
+  // GpuSpec values the time model cannot price: finalize would divide by
+  // zero SMs (SIGFPE) or return an infinite or NaN time_ms.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  rejects([](GpuSpec& s) { s.sm_count = 0; });
+  for (const double bad : {0.0, -1.38, kInf, -kInf, kNaN}) {
+    rejects([bad](GpuSpec& s) { s.clock_ghz = bad; });
+    rejects([bad](GpuSpec& s) { s.mem_bandwidth_gbps = bad; });
+  }
 
   GpuSpec edge = test_spec();
   edge.shared_banks = 64;  // the largest bank count the model tallies

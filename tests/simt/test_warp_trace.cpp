@@ -296,6 +296,17 @@ TEST(WarpAggregator, LaneReturningAfterAHigherLaneThrows) {
   push(agg, 0, 0, 45, AccessKind::kGlobalLoad);
   push(agg, 1, 4, 45, AccessKind::kGlobalLoad);
   EXPECT_THROW(push(agg, 0, 8, 45, AccessKind::kGlobalLoad), std::logic_error);
+
+  // Warmed: one flushed unit leaves the site spare capacity, so in the next
+  // unit only the first record takes the slow path and the bad one is
+  // caught on the inline path.
+  WarpAggregator warm(spec);
+  KernelMetrics m;
+  for (std::uint32_t l = 0; l < 32; ++l) push(warm, l, l * 4, 45, AccessKind::kGlobalLoad);
+  warm.flush(m);
+  push(warm, 0, 0, 45, AccessKind::kGlobalLoad);
+  push(warm, 1, 4, 45, AccessKind::kGlobalLoad);
+  EXPECT_THROW(push(warm, 0, 8, 45, AccessKind::kGlobalLoad), std::logic_error);
 }
 
 TEST(WarpAggregator, AtomicsCountedSeparately) {
@@ -460,24 +471,37 @@ class ReferenceAggregator {
   std::map<std::uint32_t, std::uint64_t> cache_;  // slot -> resident sector
 };
 
-TEST(WarpAggregator, RandomUnitsMatchReferenceAlignment) {
-  const GpuSpec spec = unit_spec();
-  std::mt19937_64 rng(20240518);
+/// Drives `trials` fresh aggregators through 12 random flush units each and
+/// checks every unit's counters and cycles against the reference alignment.
+/// Units mix converged and divergent lanes; per-site address patterns are
+/// coalesced, strided, scattered, broadcast, and non-decreasing shared words
+/// spanning fewer or at least as many words as the spec has banks. From the
+/// third unit on, lanes may run 200+ events at one site, past the capacity
+/// earlier units warmed, so a buffer grows while a lane's slice is open. Some
+/// divergent units first use a site mid-unit, on a higher lane, with an id
+/// above every id recorded before.
+void check_random_units(const GpuSpec& spec, std::uint64_t seed, int trials) {
+  std::mt19937_64 rng(seed);
   auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
   };
-  // A small site pool; each site has one fixed kind and width.
+  // Each site has one fixed id, kind and width: a pool of 8 reused by every
+  // unit, plus the fresh sites some units add.
   struct SiteSpec {
+    std::uint32_t id;
     AccessKind kind;
     std::uint8_t size;
   };
+  auto random_site = [&](std::uint32_t id) {
+    return SiteSpec{id, static_cast<AccessKind>(uniform(0, 5)),
+                    static_cast<std::uint8_t>(uniform(0, 1) != 0 ? 8 : 4)};
+  };
   std::vector<SiteSpec> pool;
-  for (std::uint32_t s = 0; s < 8; ++s) {
-    pool.push_back({static_cast<AccessKind>(uniform(0, 5)),
-                    static_cast<std::uint8_t>(uniform(0, 1) != 0 ? 8 : 4)});
-  }
+  for (std::uint32_t s = 0; s < 8; ++s) pool.push_back(random_site(100 + s));
+  const std::uint64_t banks = spec.shared_banks;
+  std::uint32_t next_fresh = 1000;
 
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < trials; ++trial) {
     WarpAggregator agg(spec);
     ReferenceAggregator ref(spec);
     KernelMetrics got;
@@ -489,9 +513,21 @@ TEST(WarpAggregator, RandomUnitsMatchReferenceAlignment) {
       }
       RefUnit u;
       const bool converged = uniform(0, 3) == 0;
-      // Per-site address pattern for this unit: coalesced, strided,
-      // scattered or broadcast; global addresses span 4 MiB so the
-      // 4096-sector cache both hits and evicts.
+      std::vector<SiteSpec> sites = pool;
+      const std::uint32_t fresh = !converged && uniform(0, 2) == 0
+                                      ? static_cast<std::uint32_t>(uniform(1, 2))
+                                      : 0;
+      for (std::uint32_t f = 0; f < fresh; ++f) {
+        next_fresh += static_cast<std::uint32_t>(uniform(1, 40));
+        sites.push_back(random_site(next_fresh));
+      }
+      // Word spans of the two non-decreasing patterns, each drawn half the
+      // time at its edge: banks - 1 still has one word per bank, banks puts
+      // the first and last word in one bank.
+      const std::uint64_t narrow = uniform(0, 1) != 0 ? banks - 1 : uniform(0, banks - 1);
+      const std::uint64_t wide = uniform(0, 1) != 0 ? banks : uniform(banks, 3 * banks);
+      // Per-site address pattern for this unit; global addresses span 4 MiB
+      // so the 4096-sector cache both hits and evicts.
       const std::uint64_t base = uniform(0, 1u << 22) & ~std::uint64_t{3};
       auto address = [&](std::uint32_t pattern, std::uint32_t lane,
                          std::uint32_t k, bool shared) -> std::uint64_t {
@@ -500,28 +536,52 @@ TEST(WarpAggregator, RandomUnitsMatchReferenceAlignment) {
           case 0: a = base + (k * 32 + lane) * 4; break;         // coalesced
           case 1: a = base + (k * 32 + lane) * 132; break;       // strided
           case 2: a = uniform(0, 1u << 22) & ~std::uint64_t{3}; break;  // scattered
-          default: a = base + k * 4; break;                      // broadcast
+          case 3: a = base + k * 4; break;                       // broadcast
+          case 4:  // non-decreasing words, spanning `narrow` over lanes 0..31
+            a = base + (k * 4 * banks + lane * narrow / 31) * 4 + uniform(0, 3);
+            break;
+          default:  // non-decreasing words, spanning `wide`
+            a = base + (k * 4 * banks + lane * wide / 31) * 4 + uniform(0, 3);
+            break;
         }
         return shared ? a % (48 * 1024) : a;
       };
-      std::array<std::uint32_t, 8> pattern;
-      for (auto& p : pattern) p = static_cast<std::uint32_t>(uniform(0, 3));
+      std::vector<std::uint32_t> pattern(sites.size());
+      for (auto& p : pattern) p = static_cast<std::uint32_t>(uniform(0, 5));
 
       // A converged unit repeats one site sequence on every lane; otherwise
-      // each lane draws its own sequence of 0..20 events.
-      std::vector<std::uint32_t> common(uniform(1, 20));
-      for (auto& s : common) s = static_cast<std::uint32_t>(uniform(0, pool.size() - 1));
+      // each lane draws its own sequence of 0..20 events. Sequences index
+      // `sites`; only the pool is drawn here.
+      auto draw = [&](std::size_t n) {
+        std::vector<std::uint32_t> seq(n);
+        for (auto& s : seq) s = static_cast<std::uint32_t>(uniform(0, pool.size() - 1));
+        return seq;
+      };
+      std::vector<std::uint32_t> common = draw(uniform(1, 20));
+      const bool long_runs = unit >= 2 && uniform(0, 2) == 0;
+      const auto long_site = static_cast<std::uint32_t>(uniform(0, pool.size() - 1));
+      const auto long_len = static_cast<std::size_t>(uniform(200, 260));
+      const auto long_at = static_cast<std::ptrdiff_t>(uniform(0, common.size()));
+      const auto fresh_lane = static_cast<std::uint32_t>(uniform(1, 31));
       for (std::uint32_t l = 0; l < 32; ++l) {
-        std::vector<std::uint32_t> seq = common;
-        if (!converged) {
-          seq.resize(uniform(0, 20));
-          for (auto& s : seq) s = static_cast<std::uint32_t>(uniform(0, pool.size() - 1));
+        std::vector<std::uint32_t> seq = converged ? common : draw(uniform(0, 20));
+        if (converged && long_runs) {
+          seq.insert(seq.begin() + long_at, long_len, long_site);
+        } else if (long_runs && uniform(0, 1) == 0) {
+          const auto at = static_cast<std::ptrdiff_t>(uniform(0, seq.size()));
+          seq.insert(seq.begin() + at, long_len + l, long_site);
         }
-        std::array<std::uint32_t, 8> seen{};
+        for (std::uint32_t f = 0; f < fresh && l >= fresh_lane; ++f) {
+          for (std::uint64_t c = uniform(1, 3); c != 0; --c) {
+            const auto at = static_cast<std::ptrdiff_t>(uniform(0, seq.size()));
+            seq.insert(seq.begin() + at, static_cast<std::uint32_t>(pool.size() + f));
+          }
+        }
+        std::vector<std::uint32_t> seen(sites.size(), 0);
         for (const std::uint32_t s : seq) {
-          const bool shared = pool[s].kind >= AccessKind::kSharedLoad;
+          const bool shared = sites[s].kind >= AccessKind::kSharedLoad;
           const std::uint64_t a = address(pattern[s], l, seen[s]++, shared);
-          u.lanes[l].push_back({a, 100 + s, pool[s].kind, pool[s].size});
+          u.lanes[l].push_back({a, sites[s].id, sites[s].kind, sites[s].size});
         }
         if (uniform(0, 3) == 0) u.compute[l] = uniform(0, 6);
       }
@@ -536,7 +596,21 @@ TEST(WarpAggregator, RandomUnitsMatchReferenceAlignment) {
       ASSERT_EQ(got, want) << "trial " << trial << " unit " << unit;
     }
     EXPECT_GT(want.warp_steps, 0u);
+    EXPECT_GT(want.shared_load_requests + want.shared_store_requests +
+                  want.shared_atomic_requests,
+              0u);
   }
+}
+
+TEST(WarpAggregator, RandomUnitsMatchReferenceAlignment) {
+  // The V100 layout: 32 banks, 32-byte sectors (both powers of two).
+  check_random_units(unit_spec(), 20240518, 40);
+  // Neither a power of two: 24 banks, 48-byte sectors, so the sector and
+  // bank arithmetic take their division paths.
+  GpuSpec odd = unit_spec();
+  odd.shared_banks = 24;
+  odd.sector_bytes = 48;
+  check_random_units(odd, 20260611, 40);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Bit-identical KernelStats regression gate: one kernel per intersection
-// family, then the other five paper kernels, pinned against checked-in
-// counter seeds on a fixed R-MAT graph.
+// family, then the other five paper kernels, then the four registered
+// extensions, pinned against checked-in counter seeds on a fixed R-MAT graph.
 //
 // The tc/intersect/ library's porting contract is that composing a kernel
 // from the shared policies leaves its per-lane event sequence — and
@@ -74,6 +74,21 @@ constexpr PinnedMetrics kOtherPaperKernels[] = {
      360962, 8464911, 15000},
 };
 
+// The four registered kernels beyond the paper's nine (GroupTC-H, BSR,
+// CMerge, CStage), same graph and cold-device setup. Each runs one launch.
+constexpr PinnedMetrics kExtensionKernels[] = {
+    {"GroupTC-H", "grouptc_hash_chunk",  // GroupTC chunks, hash probes
+     25016, 119318, 0, 0, 464, 464, 31271, 168293, 35656, 461, 217701, 245774,
+     6818936, 640},
+    {"BSR", "bsr_warp",  // BitMap family, blocked sparse rows
+     40232, 147252, 0, 0, 1168, 1168, 25003, 0, 0, 0, 0, 46406, 541322, 1608},
+    {"CMerge", "cmerge_thread",  // Merge family, compressed rows
+     9366, 150055, 0, 0, 43, 43, 3039, 0, 0, 0, 0, 33864, 750963, 640},
+    {"CStage", "cstage_block",  // Merge family, shared-staged anchor row
+     73482, 164769, 0, 0, 1199, 1199, 53500, 17244, 15000, 0, 0, 158006,
+     2227064, 12832},
+};
+
 template <std::size_t N>
 void expect_pinned(const PinnedMetrics (&pins)[N]) {
   gen::RmatParams p;
@@ -115,6 +130,8 @@ void expect_pinned(const PinnedMetrics (&pins)[N]) {
 TEST(StatsPinned, OneKernelPerFamilyBitIdentical) { expect_pinned(kPerFamily); }
 
 TEST(StatsPinned, OtherPaperKernelsBitIdentical) { expect_pinned(kOtherPaperKernels); }
+
+TEST(StatsPinned, ExtensionKernelsBitIdentical) { expect_pinned(kExtensionKernels); }
 
 }  // namespace
 }  // namespace tcgpu::tc
